@@ -16,11 +16,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 from . import anticodes as ac
 from . import dominance as comp
 from . import invariants as inv
-from . import matrices, oracle, verification
+from . import matrices, verification
 from .codes import Code, analysis_record
 from .errors import CapExceeded, InternalCheckError, guard_cap
 from .ring import METRICS
@@ -109,128 +110,33 @@ def _cap_or(cap: int | None, default: int) -> int:
     return default if cap is None else cap
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+@dataclass(frozen=True)
+class _Output:
+    """What a command computed, before `_render` puts it in the asked format.
+
+    `record` is the JSON form. `header` and `rows` give the CSV form, and
+    `line`, filled with the CSV cells of each row, gives the text form.
+    `text` and `dot` are verbatim forms; `status` is the exit code.
+    """
+
+    record: dict
+    header: str | None = None
+    rows: list | tuple = ()
+    line: str | None = None
+    text: str | None = None
+    dot: str | None = None
+    status: int = 0
 
 
-def _comp_str(a) -> str:
-    return "(" + ",".join(str(x) for x in a) + ")"
-
-
-def _comp_csv(a) -> str:
-    return ",".join(str(x) for x in a)
-
-
-def _unsupported(fmt: str, action: str) -> ValueError:
-    return ValueError(f"format {fmt!r} is not available for the {action} action")
-
-
-def cmd_lattice(args, cap: int | None) -> str:
-    parts, total, action = args.parts, args.total, args.action
-    fmt = args.format or ("dot" if action == "hasse" else "json")
-    capv = _cap_or(cap, comp.DEFAULT_LATTICE_CAP)
-    guard_cap(comp.composition_count(parts, total), capv, "lattice size")
-    elems = comp.compositions(parts, total)
-
-    if action == "enum":
-        if fmt == "json":
-            return _dump_json(
-                {
-                    "parts": parts,
-                    "sum": total,
-                    "count": len(elems),
-                    "elements": [list(a) for a in elems],
-                }
-            )
-        if fmt == "text":
-            return "".join(_comp_csv(a) + "\n" for a in elems)
-        if fmt == "csv":
-            return "a\n" + "".join(_comp_csv(a) + "\n" for a in elems)
-        raise _unsupported(fmt, action)
-
-    if action == "hasse":
-        dot = comp.hasse_dot(parts, total, capv)
-        if fmt in ("dot", "text"):
-            return dot
-        if fmt == "json":
-            return _dump_json({"parts": parts, "sum": total, "dot": dot})
-        raise _unsupported(fmt, action)
-
-    if action == "mobius":
-        entries = [
-            (a, b, comp.mobius(a, b))
-            for a in elems
-            for b in elems
-            if comp.dominance_leq(a, b)
-        ]
-        if fmt == "json":
-            return _dump_json(
-                {
-                    "parts": parts,
-                    "sum": total,
-                    "entries": [
-                        {"a": list(a), "b": list(b), "mu": mu} for a, b, mu in entries
-                    ],
-                }
-            )
-        if fmt == "text":
-            return "".join(
-                f"mu({_comp_str(a)}, {_comp_str(b)}) = {mu}\n" for a, b, mu in entries
-            )
-        if fmt == "csv":
-            return "a;b;mu\n" + "".join(
-                f"{_comp_csv(a)};{_comp_csv(b)};{mu}\n" for a, b, mu in entries
-            )
-        raise _unsupported(fmt, action)
-
-    if action == "covers":
-        if fmt == "json":
-            return _dump_json(
-                {
-                    "parts": parts,
-                    "sum": total,
-                    "entries": [
-                        {"a": list(a), "covers": [list(b) for b in comp.covers(a)]}
-                        for a in elems
-                    ],
-                }
-            )
-        if fmt == "text":
-            return "".join(
-                f"{_comp_str(a)} -> "
-                + " ".join(_comp_str(b) for b in comp.covers(a))
-                + "\n"
-                for a in elems
-            )
-        if fmt == "csv":
-            return "a;b\n" + "".join(
-                f"{_comp_csv(a)};{_comp_csv(b)}\n" for a in elems for b in comp.covers(a)
-            )
-        raise _unsupported(fmt, action)
-
-    # chains
-    length = comp.maximal_chain_length(parts, total)
-    count = 0
-    for chain in comp.maximal_chains(parts, total, capv):
-        if len(chain) - 1 != length:
-            raise InternalCheckError(
-                f"maximal chain of length {len(chain) - 1}, expected {length}"
-            )
-        count += 1
-    if fmt == "json":
-        return _dump_json(
-            {"parts": parts, "sum": total, "count": count, "length": length}
-        )
-    if fmt == "text":
-        return f"{count} maximal chains, all of length {length}\n"
-    if fmt == "csv":
-        return f"count;length\n{count};{length}\n"
-    raise _unsupported(fmt, action)
-
-
-def _load_code(path: str) -> Code:
-    with open(path, encoding="utf-8") as handle:
-        return Code(matrices.parse_matrix(handle.read()))
+def _cell(value) -> str:
+    """A CSV cell: compositions comma-joined, None empty, booleans lowercase."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(x) for x in value)
+    return str(value)
 
 
 def _flatten(record: dict, prefix: str = ""):
@@ -242,122 +148,177 @@ def _flatten(record: dict, prefix: str = ""):
             yield name, value
 
 
-def _record_output(record: dict, fmt: str) -> str:
+def _render(fmt: str | None, action: str, out: _Output, flat: bool) -> str:
+    """The bytes of `out` in format `fmt`: the one place formats are decided.
+
+    The default is DOT where there is a DOT form, JSON otherwise. With `flat`,
+    a missing text or CSV form falls back to the flattened record.
+    """
+    fmt = fmt or ("json" if out.dot is None else "dot")
     if fmt == "json":
-        return _dump_json(record)
-    if fmt == "text":
-        return "".join(f"{k} = {json.dumps(v)}\n" for k, v in _flatten(record))
-    if fmt == "csv":
-        return "key;value\n" + "".join(
-            f"{k};{json.dumps(v)}\n" for k, v in _flatten(record)
+        return json.dumps(out.record, indent=2) + "\n"
+    if fmt == "dot" and out.dot is not None:
+        return out.dot
+    if fmt == "text" and out.text is not None:
+        return out.text
+    cells = [[_cell(value) for value in row] for row in out.rows]
+    if fmt == "text" and out.line is not None:
+        return "".join(out.line.format(*row) + "\n" for row in cells)
+    if fmt == "csv" and out.header is not None:
+        return out.header + "\n" + "".join(";".join(row) + "\n" for row in cells)
+    if flat and fmt in ("text", "csv"):
+        pairs = [(key, json.dumps(value)) for key, value in _flatten(out.record)]
+        if fmt == "text":
+            return "".join(f"{key} = {value}\n" for key, value in pairs)
+        return "key;value\n" + "".join(f"{key};{value}\n" for key, value in pairs)
+    raise ValueError(f"format {fmt!r} is not available for the {action} action")
+
+
+def cmd_lattice(args, cap: int | None) -> _Output:
+    parts, total, action = args.parts, args.total, args.action
+    capv = _cap_or(cap, comp.DEFAULT_LATTICE_CAP)
+    guard_cap(comp.composition_count(parts, total), capv, "lattice size")
+    elems = comp.compositions(parts, total)
+    shape = {"parts": parts, "sum": total}
+
+    if action == "enum":
+        record = {**shape, "count": len(elems), "elements": [list(a) for a in elems]}
+        return _Output(record, header="a", rows=[(a,) for a in elems], line="{0}")
+
+    if action == "hasse":
+        dot = comp.hasse_dot(parts, total, capv)
+        return _Output({**shape, "dot": dot}, text=dot, dot=dot)
+
+    if action == "mobius":
+        entries = [
+            (a, b, comp.mobius(a, b))
+            for a in elems
+            for b in elems
+            if comp.dominance_leq(a, b)
+        ]
+        record = {
+            **shape,
+            "entries": [{"a": list(a), "b": list(b), "mu": mu} for a, b, mu in entries],
+        }
+        return _Output(
+            record, header="a;b;mu", rows=entries, line="mu(({0}), ({1})) = {2}"
         )
-    raise _unsupported(fmt, "this")
+
+    if action == "covers":
+        ups = [(a, comp.covers(a)) for a in elems]
+        record = {
+            **shape,
+            "entries": [
+                {"a": list(a), "covers": [list(b) for b in up]} for a, up in ups
+            ],
+        }
+        text = "".join(
+            f"({_cell(a)}) -> " + " ".join(f"({_cell(b)})" for b in up) + "\n"
+            for a, up in ups
+        )
+        rows = [(a, b) for a, up in ups for b in up]
+        return _Output(record, header="a;b", rows=rows, text=text)
+
+    # chains
+    length = comp.maximal_chain_length(parts, total)
+    count = 0
+    for chain in comp.maximal_chains(parts, total, capv):
+        if len(chain) - 1 != length:
+            raise InternalCheckError(
+                f"maximal chain of length {len(chain) - 1}, expected {length}"
+            )
+        count += 1
+    return _Output(
+        {**shape, "count": count, "length": length},
+        header="count;length",
+        rows=[(count, length)],
+        text=f"{count} maximal chains, all of length {length}\n",
+    )
 
 
-def cmd_code(args, cap: int | None) -> str:
-    fmt = args.format or "json"
+def _load_code(path: str) -> Code:
+    with open(path, encoding="utf-8") as handle:
+        return Code(matrices.parse_matrix(handle.read()))
+
+
+def cmd_code(args, cap: int | None) -> _Output:
     capv = _cap_or(cap, matrices.DEFAULT_ENUM_CAP)
     code = _load_code(args.path)
     params = code.params
+    shape = {"p": params.p, "s": params.s, "n": code.n}
 
     if args.action == "analyze":
-        return _record_output(analysis_record(code, capv), fmt)
+        return _Output(analysis_record(code, capv))
 
     if args.action == "dual":
         dual = code.dual()
-        if fmt == "text":
-            return matrices.format_matrix(dual.gen)
         record = {
-            "p": params.p,
-            "s": params.s,
-            "n": dual.n,
+            **shape,
             "generator_rows": [list(row) for row in dual.gen.rows],
             "subtype": list(dual.subtype),
             "extended_subtype": list(dual.extended_subtype),
         }
-        return _record_output(record, fmt)
+        return _Output(record, text=matrices.format_matrix(dual.gen))
 
     metrics = [args.metric] if args.metric else list(METRICS)
 
     if args.action == "distance":
         guard_cap(code.size, capv, "codeword enumeration")
-        per_metric = {}
-        for metric in metrics:
-            per_metric[metric] = {
+        per_metric = {
+            metric: {
                 "min_distance": None
                 if code.rank == 0
                 else code.min_distance(metric, capv),
                 "max_weight": code.max_weight(metric, capv),
             }
-        record = {"p": params.p, "s": params.s, "n": code.n, "metrics": per_metric}
-        if fmt == "csv":
-            lines = ["metric;min_distance;max_weight"]
-            for metric in metrics:
-                row = per_metric[metric]
-                mind = "" if row["min_distance"] is None else row["min_distance"]
-                lines.append(f"{metric};{mind};{row['max_weight']}")
-            return "\n".join(lines) + "\n"
-        return _record_output(record, fmt)
+            for metric in metrics
+        }
+        return _Output(
+            {**shape, "metrics": per_metric},
+            header="metric;min_distance;max_weight",
+            rows=[(m, *v.values()) for m, v in per_metric.items()],
+        )
 
     # optimal
     if args.metric is None and params.p == 2:
         metrics = [m for m in metrics if m != "lee"]
     guard_cap(code.size, capv, "codeword enumeration")
-    verdicts = {}
-    for metric in metrics:
-        verdicts[metric] = {
+    verdicts = {
+        metric: {
             "optimal": ac.is_optimal(code, metric, capv),
             "bound": ac.weight_bound(code, metric),
             "max_weight": code.max_weight(metric, capv),
         }
-    record = {"p": params.p, "s": params.s, "n": code.n, "verdicts": verdicts}
-    if fmt == "csv":
-        lines = ["metric;optimal;bound;max_weight"]
-        for metric in metrics:
-            row = verdicts[metric]
-            lines.append(
-                f"{metric};{str(row['optimal']).lower()};{row['bound']};"
-                f"{row['max_weight']}"
-            )
-        return "\n".join(lines) + "\n"
-    return _record_output(record, fmt)
+        for metric in metrics
+    }
+    return _Output(
+        {**shape, "verdicts": verdicts},
+        header="metric;optimal;bound;max_weight",
+        rows=[(m, *v.values()) for m, v in verdicts.items()],
+    )
 
 
-def cmd_invariants(args, cap: int | None) -> str:
-    fmt = args.format or "json"
+def cmd_invariants(args, cap: int | None) -> _Output:
     capv = _cap_or(cap, inv.DEFAULT_CENSUS_CAP)
     code = _load_code(args.path)
     params = code.params
 
     if args.action in ("moments", "distribution"):
-        table = inv.build_invariant_table(code, capv)
-        if fmt == "json":
-            return _dump_json(inv.table_json_dict(table))
-        if fmt == "csv":
-            return inv.table_csv(table)
-        if fmt == "text":
-            lines = []
-            for a in comp.compositions(params.s + 1, code.n):
-                for j in range(table.rank + 1):
-                    lines.append(
-                        f"a={_comp_str(a)} j={j} "
-                        f"B={table.binomial_moments[(a, j)]} "
-                        f"W={table.weight_distributions[(a, j)]}"
-                    )
-            return "\n".join(lines) + "\n"
-        raise _unsupported(fmt, args.action)
+        record = inv.table_json_dict(inv.build_invariant_table(code, capv))
+        rows = [(e["a"], e["j"], e["B"], e["W"]) for e in record["entries"]]
+        return _Output(
+            record, header="a;j;B;W", rows=rows, line="a=({0}) j={1} B={2} W={3}"
+        )
 
     ranks = range(1, code.rank + 1)
     r_weights = [inv.r_weight(code, r) for r in ranks]
     r_free = [inv.r_weight_free(code, r) for r in ranks]
     ghw_list = [a[0] for a in r_free]
+    shape = {"p": params.p, "s": params.s, "n": code.n, "rank": code.rank}
 
     if args.action == "rweights":
         record = {
-            "p": params.p,
-            "s": params.s,
-            "n": code.n,
-            "rank": code.rank,
+            **shape,
             "linear_extension": comp.LINEAR_EXTENSION_NAME,
             "r_weights": [list(a) for a in r_weights],
             "r_weights_free": [list(a) for a in r_free],
@@ -366,102 +327,71 @@ def cmd_invariants(args, cap: int | None) -> str:
                 [list(a) for a in inv.r_weight_minimal_set(code, r)] for r in ranks
             ],
         }
-        if fmt == "json":
-            return _dump_json(record)
-        if fmt == "text":
-            lines = [
-                f"r={r} d={_comp_str(d)} d_free={_comp_str(df)} ghw={g}"
-                for r, d, df, g in zip(ranks, r_weights, r_free, ghw_list)
-            ]
-            return "\n".join(lines) + "\n" if lines else ""
-        if fmt == "csv":
-            lines = ["r;d_r;d_r_free;ghw"]
-            lines.extend(
-                f"{r};{_comp_csv(d)};{_comp_csv(df)};{g}"
-                for r, d, df, g in zip(ranks, r_weights, r_free, ghw_list)
-            )
-            return "\n".join(lines) + "\n"
-        raise _unsupported(fmt, args.action)
+        return _Output(
+            record,
+            header="r;d_r;d_r_free;ghw",
+            rows=list(zip(ranks, r_weights, r_free, ghw_list)),
+            line="r={0} d=({1}) d_free=({2}) ghw={3}",
+        )
 
     # ghw
-    record = {
-        "p": params.p,
-        "s": params.s,
-        "n": code.n,
-        "rank": code.rank,
-        "ghw": ghw_list,
+    return _Output(
+        {**shape, "ghw": ghw_list},
+        header="r;ghw",
+        rows=list(zip(ranks, ghw_list)),
+        text="ghw = " + " ".join(str(g) for g in ghw_list) + "\n",
+    )
+
+
+# The JSON parameters of each suite, in the order the suite takes them.
+_SUITE_PARAMETERS = {
+    "lattice": ("parts", "sum"),
+    "counting": ("p", "s", "n"),
+    "anticodes": ("p", "s", "n"),
+    "invariants": ("p", "s", "n"),
+    "all": ("p", "s", "n", "parts", "sum"),
+}
+
+
+def cmd_verify(args, cap: int | None) -> _Output:
+    parameters = {
+        key: getattr(args, "total" if key == "sum" else key)
+        for key in _SUITE_PARAMETERS[args.scope]
     }
-    if fmt == "json":
-        return _dump_json(record)
-    if fmt == "text":
-        return "ghw = " + " ".join(str(g) for g in ghw_list) + "\n"
-    if fmt == "csv":
-        lines = ["r;ghw"]
-        lines.extend(f"{r};{g}" for r, g in zip(ranks, ghw_list))
-        return "\n".join(lines) + "\n"
-    raise _unsupported(fmt, args.action)
+    # Looked up when called, so that a suite replaced on the module is the one run.
+    suite = getattr(verification, f"verify_{args.scope}")
+    # With no cap given, each suite keeps its own default.
+    results = suite(*parameters.values(), **({} if cap is None else {"cap": cap}))
+    failures = [r for r in results if not r.passed]
+    for r in failures:
+        print(f"counterexample [{r.name}]: {r.detail}", file=sys.stderr)
+    lines = [
+        f"PASS {r.name}" if r.passed else f"FAIL {r.name}: {r.detail}" for r in results
+    ]
+    lines.append(f"failures: {len(failures)}" if failures else "ok")
+    record = {
+        "scope": args.scope,
+        "parameters": parameters,
+        "results": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+        ],
+        "ok": not failures,
+    }
+    return _Output(
+        record,
+        header="status;name;detail",
+        rows=[("pass" if r.passed else "fail", r.name, r.detail) for r in results],
+        text="".join(line + "\n" for line in lines),
+        status=3 if failures else 0,
+    )
 
 
-def cmd_verify(args, cap: int | None) -> tuple[str, int]:
-    fmt = args.format or "json"
-    capv = _cap_or(cap, oracle.DEFAULT_CENSUS_CAP)
-    scope = args.scope
-    if scope == "lattice":
-        results = verification.verify_lattice(args.parts, args.total)
-        parameters = {"parts": args.parts, "sum": args.total}
-    elif scope == "counting":
-        results = verification.verify_counting(args.p, args.s, args.n, capv)
-        parameters = {"p": args.p, "s": args.s, "n": args.n}
-    elif scope == "anticodes":
-        results = verification.verify_anticodes(args.p, args.s, args.n, capv)
-        parameters = {"p": args.p, "s": args.s, "n": args.n}
-    elif scope == "invariants":
-        results = verification.verify_invariants(args.p, args.s, args.n, capv)
-        parameters = {"p": args.p, "s": args.s, "n": args.n}
-    else:
-        results = verification.verify_all(
-            args.p, args.s, args.n, args.parts, args.total
-        )
-        parameters = {
-            "p": args.p,
-            "s": args.s,
-            "n": args.n,
-            "parts": args.parts,
-            "sum": args.total,
-        }
-    ok = all(r.passed for r in results)
-    for r in results:
-        if not r.passed:
-            print(f"counterexample [{r.name}]: {r.detail}", file=sys.stderr)
-    if fmt == "json":
-        out = _dump_json(
-            {
-                "scope": scope,
-                "parameters": parameters,
-                "results": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-                "ok": ok,
-            }
-        )
-    elif fmt == "text":
-        lines = [
-            ("PASS " if r.passed else "FAIL ") + r.name
-            + ("" if r.passed else f": {r.detail}")
-            for r in results
-        ]
-        lines.append("ok" if ok else f"failures: {sum(not r.passed for r in results)}")
-        out = "\n".join(lines) + "\n"
-    elif fmt == "csv":
-        lines = ["status;name;detail"]
-        lines.extend(
-            f"{'pass' if r.passed else 'fail'};{r.name};{r.detail}" for r in results
-        )
-        out = "\n".join(lines) + "\n"
-    else:
-        raise _unsupported(fmt, "verify")
-    return out, 0 if ok else 3
+_COMMANDS = {
+    "lattice": cmd_lattice,
+    "code": cmd_code,
+    "invariants": cmd_invariants,
+    "verify": cmd_verify,
+}
 
 
 def main(argv=None) -> int:
@@ -472,14 +402,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cap = _resolve_cap(args)
-        if args.command == "lattice":
-            out, status = cmd_lattice(args, cap), 0
-        elif args.command == "code":
-            out, status = cmd_code(args, cap), 0
-        elif args.command == "invariants":
-            out, status = cmd_invariants(args, cap), 0
-        else:
-            out, status = cmd_verify(args, cap)
+        out = _COMMANDS[args.command](args, cap)
+        # `verify` takes a scope, not an action; its errors name the command.
+        action = getattr(args, "action", args.command)
+        text = _render(args.format, action, out, flat=args.command == "code")
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -489,9 +415,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(out)
-    return status
+    sys.stdout.write(text)
+    return out.status
 
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

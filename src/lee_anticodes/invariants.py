@@ -37,7 +37,7 @@ from .dominance import (
     linear_key,
     prefix_sums,
 )
-from .errors import InternalCheckError
+from .errors import InternalCheckError, guard_cap
 from .ring import ChainRingParams
 
 DEFAULT_CENSUS_CAP = 3**7
@@ -172,13 +172,9 @@ def _pair_count_direct(a, b) -> int:
     )
 
 
-def _intersection(code: Code, anticode: ac.Anticode) -> Code:
-    return Code(matrices.module_intersect(code.gen, anticode.module()))
-
-
 @lru_cache(maxsize=None)
 def _intersection_cached(code: Code, anticode: ac.Anticode) -> Code:
-    return _intersection(code, anticode)
+    return Code(matrices.module_intersect(code.gen, anticode.module()))
 
 
 @lru_cache(maxsize=None)
@@ -375,8 +371,11 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
 
     Both inversion identities are evaluated against the directly computed
     tables for every (a, j) cell; so is B >= W. A violation raises
-    InternalCheckError since each identity is a theorem.
+    InternalCheckError since each identity is a theorem. Every intersection
+    C cap A has at most |C| elements and C cap R^n = C is always censused, so
+    a code larger than the cap is refused before any census starts.
     """
+    guard_cap(code.size, cap, "submodule census base module")
     params, n = code.params, code.n
     comps = compositions(params.s + 1, n)
     jmax = code.rank
@@ -416,19 +415,6 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
         if distribution_from_moments(table, a, j) != weights[(a, j)]:
             raise InternalCheckError(f"inversion identity fails at a={a}, j={j}")
     return table
-
-
-def table_csv(table: InvariantTable) -> str:
-    """CSV rows `a;j;B;W` with a comma-joined, in linear order then by j."""
-    lines = ["a;j;B;W"]
-    for a in compositions(table.params.s + 1, table.n):
-        for j in range(table.rank + 1):
-            a_text = ",".join(str(x) for x in a)
-            lines.append(
-                f"{a_text};{j};{table.binomial_moments[(a, j)]};"
-                f"{table.weight_distributions[(a, j)]}"
-            )
-    return "\n".join(lines) + "\n"
 
 
 def table_json_dict(table: InvariantTable) -> dict:

@@ -39,8 +39,10 @@ def _run(name: str, fn) -> CheckResult:
     return CheckResult(name, False, detail)
 
 
-def verify_lattice(parts: int, total: int) -> list[CheckResult]:
-    po = oracle.poset_oracle(parts, total)
+def verify_lattice(
+    parts: int, total: int, cap: int = oracle.DEFAULT_POSET_CAP
+) -> list[CheckResult]:
+    po = oracle.poset_oracle(parts, total, cap)
     elems = comp.compositions(parts, total)
 
     def check_enumeration():
@@ -381,7 +383,7 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
         for c in codes:
             dual = c.dual()
             for A in all_anticodes:
-                lhs = Code(matrices.module_intersect(c.gen, A.module())).rank
+                lhs = inv._intersection_cached(c, A).rank
                 rhs = n - Code(
                     matrices.module_sum(dual.gen, ac.dual_anticode(A).module())
                 ).free_rank
@@ -446,10 +448,14 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
     return results
 
 
-def verify_all(p: int, s: int, n: int, parts: int, total: int) -> list[CheckResult]:
-    results = []
-    results.extend(verify_lattice(parts, total))
-    results.extend(verify_counting(p, s, n))
-    results.extend(verify_anticodes(p, s, n))
-    results.extend(verify_invariants(p, s, n))
-    return results
+def verify_all(
+    p: int, s: int, n: int, parts: int, total: int, cap: int | None = None
+) -> list[CheckResult]:
+    """Every suite in turn; a cap given here replaces each suite's default."""
+    caps = {} if cap is None else {"cap": cap}
+    return [
+        *verify_lattice(parts, total, **caps),
+        *verify_counting(p, s, n, **caps),
+        *verify_anticodes(p, s, n, **caps),
+        *verify_invariants(p, s, n, **caps),
+    ]

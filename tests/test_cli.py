@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from lee_anticodes import cli
+from lee_anticodes import cli, matrices
 from lee_anticodes.verification import CheckResult
 
 
@@ -229,7 +233,7 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(
         cli.verification,
         "verify_lattice",
-        lambda parts, total: [CheckResult("stub check", False, "broken")],
+        lambda parts, total, cap=None: [CheckResult("stub check", False, "broken")],
     )
     status, out, err = run_cli(capsys, "verify", "lattice", "--format", "text")
     assert status == 3
@@ -275,6 +279,46 @@ def test_cap_env_and_override(capsys, monkeypatch):
     status, _, err = run_cli(capsys, "lattice", "--parts", "3", "--sum", "3", "enum")
     assert status == 1
     assert cli.CAP_ENV_VAR in err
+
+
+@pytest.mark.parametrize("scope", ["lattice", "all"])
+def test_verify_honours_cap(capsys, monkeypatch, scope):
+    status, _, err = run_cli(capsys, "verify", scope, "--cap", "5")
+    assert status == 2
+    assert "poset oracle: 10 exceeds cap 5" in err
+    monkeypatch.setenv(cli.CAP_ENV_VAR, "5")
+    status, _, err = run_cli(capsys, "verify", scope)
+    assert status == 2
+    assert "exceeds cap 5" in err
+
+
+def test_invariants_refuses_oversized_code_before_census(capsys, monkeypatch, code_file):
+    def no_census(*args, **kwargs):
+        raise AssertionError("submodule census started")
+
+    monkeypatch.setattr(matrices, "submodule_census", no_census)
+    for action in ("moments", "distribution"):
+        status, out, err = run_cli(
+            capsys, "invariants", code_file, action, "--cap", "8"
+        )
+        assert status == 2 and out == ""
+        assert "submodule census base module: 27 exceeds cap 8" in err
+
+
+def test_module_runs_as_script():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop(cli.CAP_ENV_VAR, None)
+    argv = ["lattice", "--parts", "3", "--sum", "2", "enum", "--format", "text"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lee_anticodes.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0,0,2\n0,1,1\n0,2,0\n1,0,1\n1,1,0\n2,0,0\n"
 
 
 def test_bad_cap_flag_exits_1(capsys):

@@ -40,13 +40,15 @@ def _with_format(name, argv, fmt):
 def _cases():
     cases = []
     for action in ("enum", "hasse", "mobius", "covers", "chains"):
+        argv = ("lattice",) + LATTICE + (action,)
         for fmt in FORMATS:
-            cases.append(_with_format(f"lattice-{action}", ("lattice",) + LATTICE + (action,), fmt))
+            cases.append(_with_format(f"lattice-{action}", argv, fmt))
     for matrix in MATRICES:
         path = f"{{{matrix}}}"
         for action in ("analyze", "dual", "distance", "optimal"):
             for fmt in FORMATS:
-                cases.append(_with_format(f"code-{matrix}-{action}", ("code", path, action), fmt))
+                argv = ("code", path, action)
+                cases.append(_with_format(f"code-{matrix}-{action}", argv, fmt))
         for action in ("distance", "optimal"):
             for fmt in FORMATS:
                 argv = ("code", path, action, "--metric", "lee")
@@ -67,7 +69,8 @@ CASES = dict(_cases())
 
 
 def _run(argv):
-    argv = [arg.format(**{m: str(INPUTS / f"{m}.txt") for m in MATRICES}) for arg in argv]
+    paths = {matrix: str(INPUTS / f"{matrix}.txt") for matrix in MATRICES}
+    argv = [arg.format(**paths) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = cli.main(argv)
