@@ -311,35 +311,37 @@ def cmd_invariants(args, cap: int | None) -> _Output:
         )
 
     ranks = range(1, code.rank + 1)
+    shape = {"p": params.p, "s": params.s, "n": code.n, "rank": code.rank}
+
+    if args.action == "ghw":
+        ghw_list = [inv.ghw(code, r) for r in ranks]
+        return _Output(
+            {**shape, "ghw": ghw_list},
+            header="r;ghw",
+            rows=list(zip(ranks, ghw_list)),
+            text="ghw = " + " ".join(str(g) for g in ghw_list) + "\n",
+        )
+
+    # rweights: r_weight_minimal_set meets C with every anticode.
+    guard_cap((params.s + 1) ** code.n, capv, "anticode count")
     r_weights = [inv.r_weight(code, r) for r in ranks]
     r_free = [inv.r_weight_free(code, r) for r in ranks]
     ghw_list = [a[0] for a in r_free]
-    shape = {"p": params.p, "s": params.s, "n": code.n, "rank": code.rank}
-
-    if args.action == "rweights":
-        record = {
-            **shape,
-            "linear_extension": comp.LINEAR_EXTENSION_NAME,
-            "r_weights": [list(a) for a in r_weights],
-            "r_weights_free": [list(a) for a in r_free],
-            "ghw": ghw_list,
-            "minimal_valid": [
-                [list(a) for a in inv.r_weight_minimal_set(code, r)] for r in ranks
-            ],
-        }
-        return _Output(
-            record,
-            header="r;d_r;d_r_free;ghw",
-            rows=list(zip(ranks, r_weights, r_free, ghw_list)),
-            line="r={0} d=({1}) d_free=({2}) ghw={3}",
-        )
-
-    # ghw
+    record = {
+        **shape,
+        "linear_extension": comp.LINEAR_EXTENSION_NAME,
+        "r_weights": [list(a) for a in r_weights],
+        "r_weights_free": [list(a) for a in r_free],
+        "ghw": ghw_list,
+        "minimal_valid": [
+            [list(a) for a in inv.r_weight_minimal_set(code, r)] for r in ranks
+        ],
+    }
     return _Output(
-        {**shape, "ghw": ghw_list},
-        header="r;ghw",
-        rows=list(zip(ranks, ghw_list)),
-        text="ghw = " + " ".join(str(g) for g in ghw_list) + "\n",
+        record,
+        header="r;d_r;d_r_free;ghw",
+        rows=list(zip(ranks, r_weights, r_free, ghw_list)),
+        line="r={0} d=({1}) d_free=({2}) ghw={3}",
     )
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, product
 
-from .anticodes import Anticode
+from .anticodes import Anticode, exponent_vectors
 from .codes import Code
 from .errors import InternalCheckError, guard_cap
 from .matrices import ModMatrix, howell_form
@@ -254,3 +254,14 @@ def enumerate_codes(n: int, params: ChainRingParams, cap: int = DEFAULT_CENSUS_C
     """Every code of length n exactly once, via the full-module census."""
     census = enumerate_submodules(ModMatrix.full(params, n), cap)
     return (Code(entry.mat) for entry in census.entries)
+
+
+def pair_count_direct(a, b) -> int:
+    """Pairs of exponent vectors (outer from a, inner from b) with inner inside outer."""
+    inner = list(exponent_vectors(b))
+    return sum(
+        1
+        for eo in exponent_vectors(a)
+        for ei in inner
+        if all(x <= y for x, y in zip(eo, ei))
+    )

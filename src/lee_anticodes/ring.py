@@ -85,19 +85,16 @@ class ChainRingParams:
         return self.p - 1
 
     def ideal_max_lee(self, i: int) -> int:
-        """M_i, the largest Lee weight attained on the ideal <p^i>; odd p only.
+        """M_i = (p^s - p^i) / 2, the largest Lee weight on the ideal <p^i>; odd p only.
 
-        Computed by direct maximization over the p^(s-i) ideal elements and
-        asserted against the closed form (p^s - p^i) / 2.
+        The ideal holds the multiples p^i * t, 0 <= t < p^(s-i). With p odd,
+        p^(s-i) is odd and t = (p^(s-i) - 1) / 2 lands p^i / 2 below half the
+        modulus, the closest any multiple gets.
         """
         self.require_odd()
         if not 0 <= i < self.s:
             raise ValueError(f"ideal index must lie in 0..{self.s - 1}, got {i}")
-        step = self.p**i
-        best = max(self.lee_weight(step * t) for t in range(self.p ** (self.s - i)))
-        if best != (self.modulus - step) // 2:
-            raise AssertionError(f"ideal Lee maximum mismatch at i={i}: {best}")
-        return best
+        return (self.modulus - self.p**i) // 2
 
     @property
     def ideal_max_lee_profile(self) -> tuple[int, ...]:

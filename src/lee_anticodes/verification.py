@@ -370,8 +370,31 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
     comps = comp.compositions(s + 1, n)
 
     def check_tables():
+        # Every cell against the census of each C cap A: B counts its rank-j
+        # submodules, W those whose hull is A. Then B >= W and both identities.
         for c in codes:
-            inv.build_invariant_table(c)
+            table = inv.build_invariant_table(c)
+            for a in comps:
+                census = [
+                    (r, hull == A.exponents)
+                    for A in ac.family(a, params)
+                    for r, hull in inv._subcode_stats(inv._intersection_cached(c, A), cap)
+                ]
+                for j in range(c.rank + 1):
+                    key, where = (a, j), f"at a={a}, j={j} for {c.gen.rows}"
+                    want = (
+                        sum(r == j for r, _ in census),
+                        sum(r == j and at_a for r, at_a in census),
+                    )
+                    got = (table.binomial_moments[key], table.weight_distributions[key])
+                    if got != want:
+                        return f"(B, W) = {got} but the census gives {want} {where}"
+                    identities = (
+                        inv.moments_from_distribution(table, a, j),
+                        inv.distribution_from_moments(table, a, j),
+                    )
+                    if got[0] < got[1] or identities != got:
+                        return f"B < W or an inversion identity fails {where}"
         return None
 
     def check_rank_identity():
@@ -397,8 +420,14 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
     def check_pair_counts():
         for a in comps:
             for b in comps:
-                if comp.dominance_leq(b, a):
-                    inv.pair_count(a, b, n)
+                got = inv.pair_count(a, b, n)
+                containing = ac.family_size(b) * inv.count_containing(b, a)
+                direct = oracle.pair_count_direct(a, b)
+                if not got == containing == direct:
+                    return (
+                        f"pair_count({a}, {b}) = {got}, containing route "
+                        f"{containing}, double enumeration {direct}"
+                    )
         return None
 
     def check_chain_monotone():

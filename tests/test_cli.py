@@ -305,6 +305,22 @@ def test_invariants_refuses_oversized_code_before_census(capsys, monkeypatch, co
         assert "submodule census base module: 27 exceeds cap 8" in err
 
 
+def test_invariants_refuses_too_many_anticodes(capsys, monkeypatch, tmp_path):
+    # |C| = 9 passes the cap, but (Z/9)^12 has 3^12 anticodes to intersect.
+    path = tmp_path / "long.txt"
+    path.write_text("3 2 12\n" + " ".join(["1"] * 12) + "\n")
+
+    def no_intersection(*args, **kwargs):
+        raise AssertionError("module intersection started")
+
+    monkeypatch.setattr(matrices, "module_intersect", no_intersection)
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    for action in ("moments", "distribution", "rweights"):
+        status, out, err = run_cli(capsys, "invariants", str(path), action)
+        assert status == 2 and out == ""
+        assert "anticode count: 531441 exceeds cap 2187" in err
+
+
 def test_module_runs_as_script():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

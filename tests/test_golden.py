@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from lee_anticodes import cli
+from lee_anticodes import cli, matrices
+from lee_anticodes import invariants as inv
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -84,13 +85,29 @@ def fixed_env(monkeypatch):
     monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, fixed_env):
+def _check(name):
     recorded = json.loads(STATUS.read_text())[name]
     status, out, err = _run(CASES[name])
     with open(GOLDEN / f"{name}.out", encoding="utf-8", newline="") as handle:
         assert out == handle.read()
     assert [status, err] == recorded
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, fixed_env):
+    _check(name)
+
+
+@pytest.mark.parametrize("action", ["moments", "distribution", "rweights", "ghw"])
+def test_invariants_take_no_census(action, fixed_env, monkeypatch):
+    """The invariants come from closed forms; the census is only the oracle."""
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("submodule census started")
+
+    monkeypatch.setattr(matrices, "submodule_census", no_census)
+    monkeypatch.setattr(inv, "_subcode_stats", no_census)
+    _check(f"invariants-mixed-{action}-default")
 
 
 def test_golden_cases_match_recorded_files():

@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lee_anticodes import invariants as inv
-from lee_anticodes.anticodes import Anticode, family_size
+from lee_anticodes import oracle
+from lee_anticodes.anticodes import Anticode, family_size, hull
 from lee_anticodes.codes import Code
 from lee_anticodes.dominance import compositions, dominance_leq
 from lee_anticodes.ring import ChainRingParams
@@ -109,6 +112,45 @@ def test_weight_distribution_single():
     c = example_code()
     assert inv.weight_distribution_single(c, Anticode(Z9, (0, 1, 2)), 1) == 0
     assert inv.weight_distribution_single(c, Anticode(Z9, (2, 1, 2)), 1) == 1
+
+
+@st.composite
+def codes_anticodes_ranks(draw):
+    """A random code of at most 81 words, an anticode and a rank, p = 2 included."""
+    p, s, n = draw(
+        st.sampled_from(
+            [(2, 1, 3), (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 1, 3), (3, 2, 2), (5, 1, 2)]
+        )
+    )
+    params = ChainRingParams(p, s)
+    k = draw(st.integers(min_value=0, max_value=2))
+    rows = [
+        tuple(draw(st.integers(0, params.modulus - 1)) for _ in range(n))
+        for _ in range(k)
+    ]
+    code = Code.from_rows(params, n, rows)
+    # The code's own hull makes W nonzero for some j; a drawn anticode mostly not.
+    if draw(st.booleans()):
+        anticode = hull(code)
+    else:
+        anticode = Anticode(params, tuple(draw(st.integers(0, s)) for _ in range(n)))
+    return code, anticode, draw(st.integers(0, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes_anticodes_ranks())
+def test_weight_distribution_single_matches_element_sets(case):
+    """W(A, j) equals the number of rank-j subcodes whose element set has hull A."""
+    code, anticode, j = case
+    params = code.params
+    expected = 0
+    for entry in oracle.enumerate_submodules(code.gen).entries:
+        exps = tuple(
+            min(params.valuation(x[t]) for x in entry.elements) for t in range(code.n)
+        )
+        if entry.rank == j and exps == anticode.exponents:
+            expected += 1
+    assert inv.weight_distribution_single(code, anticode, j) == expected
 
 
 def test_rank_intersection_identity_edge_cases():

@@ -97,10 +97,15 @@ def test_ideal_max_lee():
 
 
 def test_ideal_max_lee_closed_form():
-    for p, s in ((3, 1), (3, 2), (3, 3), (5, 2), (7, 1)):
+    for p, s in ((3, 1), (3, 2), (3, 3), (5, 2), (7, 1), (401, 2)):
         params = ChainRingParams(p, s)
         profile = params.ideal_max_lee_profile
         assert profile == tuple((p**s - p**i) // 2 for i in range(s))
+        direct = tuple(
+            max(params.lee_weight(p**i * t) for t in range(p ** (s - i)))
+            for i in range(s)
+        )
+        assert profile == direct
         assert all(profile[i] > profile[i + 1] for i in range(s - 1))
 
 

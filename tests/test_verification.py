@@ -1,4 +1,10 @@
+import pytest
+
+from lee_anticodes import anticodes as ac
+from lee_anticodes import cli
+from lee_anticodes import invariants as inv
 from lee_anticodes import verification as vf
+from lee_anticodes.ring import ChainRingParams
 
 
 def test_verify_all_passes():
@@ -21,3 +27,48 @@ def test_check_result_shape():
         assert isinstance(r.name, str) and r.name
         assert r.passed is True
         assert r.detail == ""
+
+
+def _off_by_one(fn):
+    return lambda *args, **kwargs: fn(*args, **kwargs) + 1
+
+
+def _mobius_skips_top_step(terms):
+    return lambda exponents, s: terms(exponents, s - 1)
+
+
+def _optimal_off_by_one(_is_optimal):
+    return lambda code, metric, cap=None: code.size == ac.hull(code).size + 1
+
+
+TABLES = "invariant tables satisfy both identities"
+
+# Each production route with one planted fault: (owner, attribute, fault,
+# the suite that keeps the second route, the check that must catch it).
+PLANTED = {
+    "chain_bracket": (inv, "chain_bracket", _off_by_one, "invariants", TABLES),
+    "mobius": (inv, "_mobius_terms", _mobius_skips_top_step, "invariants", TABLES),
+    "count_inside": (
+        inv, "count_inside", _off_by_one, "invariants",
+        "pair counts match double enumeration",
+    ),
+    "is_optimal": (
+        ac, "is_optimal", _optimal_off_by_one, "anticodes",
+        "lee optimality routes agree everywhere",
+    ),
+    "ideal_max_lee": (
+        ChainRingParams, "ideal_max_lee", _off_by_one, "anticodes",
+        "lee bound holds on the census",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED))
+def test_planted_fault_fails_its_check(fault, monkeypatch, capsys):
+    owner, attr, plant, scope, name = PLANTED[fault]
+    monkeypatch.setattr(owner, attr, plant(getattr(owner, attr)))
+    results = {r.name: r for r in getattr(vf, f"verify_{scope}")(3, 2, 2)}
+    assert not results[name].passed
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    assert cli.main(["verify", scope, "--format", "text"]) == 3
+    assert f"FAIL {name}:" in capsys.readouterr().out
