@@ -6,10 +6,11 @@ a = (a_0, ..., a_s) of n ordered by dominance; the fixed linear extension is
 lexicographic order on prefix sums (compositions.linear_key).
 
 The binomial moment B(A, j) of a code C counts the rank-j subcodes of
-C cap A, by chain_bracket sums; the weight distribution W(A, j) counts those
-whose hull is exactly A, by Moebius inversion over the anticodes, a product
-of chains (Rota 1964). The aggregates B_a^(j) and W_a^(j) sum over family(a);
-grouping the B count by the hull gives
+C cap A, taken by matrices.restrict, by chain_bracket sums; the weight
+distribution W(A, j) counts those whose hull is exactly A, by Moebius
+inversion over the anticodes, a product of chains (Rota 1964). The
+aggregates B_a^(j) and W_a^(j) sum over family(a); grouping the B count by
+the hull gives
 
     B_a^(j) = sum over b dominated by a of W_b^(j) * count_containing(b, a)
 
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 from . import anticodes as ac
 from . import matrices
-from .codes import Code, hamming_support
+from .codes import Code
 from .dominance import (
     LINEAR_EXTENSION_NAME,
     check_pair,
@@ -143,7 +144,7 @@ def pair_count(a, b, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _intersection_cached(code: Code, anticode: ac.Anticode) -> Code:
-    return Code(matrices.module_intersect(code.gen, anticode.module()))
+    return Code(matrices.restrict(code.gen, anticode.exponents))
 
 
 @lru_cache(maxsize=None)
@@ -319,47 +320,54 @@ def r_weight_minimal_set(code: Code, r: int) -> tuple[tuple[int, ...], ...]:
 
 
 def ghw_brute(code: Code, r: int, cap: int = DEFAULT_CENSUS_CAP) -> int:
-    """Direct minimum of |hamming_support(D)| over rank-r subcodes D of C."""
+    """Direct minimum of |hamming_support(D)| over rank-r subcodes D of C.
+
+    D is nonzero at coordinate t iff its hull exponent e_t is below s, so
+    the census of `_subcode_stats` serves every r."""
     if not 1 <= r <= code.rank:
         raise ValueError(f"r must lie in 1..{code.rank}, got {r}")
-    supports = [
-        len(hamming_support(Code(mat)))
-        for mat in matrices.submodule_census(code.gen, cap)
-        if Code(mat).rank == r
-    ]
-    return min(supports)
+    s = code.params.s
+    return min(
+        sum(e < s for e in hull) for rank, hull in _subcode_stats(code, cap) if rank == r
+    )
 
 
 def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> InvariantTable:
     """Compute the full B/W tables and R-weight chains.
 
     Each anticode gets one B row, the bracket sums over the extended subtype
-    of C cap A, and one W row, the Moebius inversion of those rows. The work
-    is one intersection per anticode; a code with more than cap words, or a
-    length with more than cap anticodes, is refused before it starts.
+    of C cap A, computed once per distinct subtype; each family sums the B
+    rows of its members and their Moebius inversions as vectors over j. The
+    work is one intersection per anticode; a code with more than cap words,
+    or a length with more than cap anticodes, is refused before it starts.
     """
     guard_cap(code.size, cap, "submodule census base module")
     params, n = code.params, code.n
     guard_cap((params.s + 1) ** n, cap, "anticode count")
     jmax = code.rank
     families = {a: ac.family(a, params) for a in compositions(params.s + 1, n)}
-    b_rows = {
-        A.exponents: _bracket_moments(
-            _intersection_cached(code, A).extended_subtype, params.p, jmax
-        )
-        for fam in families.values()
-        for A in fam
-    }
+    rows_by_ext: dict = {}
+    b_rows = {}
+    for fam in families.values():
+        for A in fam:
+            ext = _intersection_cached(code, A).extended_subtype
+            if ext not in rows_by_ext:
+                rows_by_ext[ext] = _bracket_moments(ext, params.p, jmax)
+            b_rows[A.exponents] = rows_by_ext[ext]
     moments: dict = {}
     weights: dict = {}
     for a, fam in families.items():
+        b_sum = [0] * (jmax + 1)
+        w_sum = [0] * (jmax + 1)
+        for A in fam:
+            for j, x in enumerate(b_rows[A.exponents]):
+                b_sum[j] += x
+            for sign, exps in _mobius_terms(A.exponents, params.s):
+                for j, x in enumerate(b_rows[exps]):
+                    w_sum[j] += sign * x
         for j in range(jmax + 1):
-            moments[(a, j)] = sum(b_rows[A.exponents][j] for A in fam)
-            weights[(a, j)] = sum(
-                sign * b_rows[exps][j]
-                for A in fam
-                for sign, exps in _mobius_terms(A.exponents, params.s)
-            )
+            moments[(a, j)] = b_sum[j]
+            weights[(a, j)] = w_sum[j]
     r_list = [r_weight(code, r) for r in range(1, jmax + 1)]
     r_free_list = [r_weight_free(code, r) for r in range(1, jmax + 1)]
     ghw_list = [a[0] for a in r_free_list]

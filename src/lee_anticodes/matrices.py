@@ -16,6 +16,12 @@ purpose: span{(3,1)} over Z/9 has Howell form {(3,1),(0,3)} with two
 non-unit pivots, yet the module is cyclic with a single generator of
 valuation 1 and free rank 0, subtype (0,1) read from its systematic
 diagonal after a column swap.
+
+A code met with an anticode, C cap prod_t <p^{e_t}>, takes one Howell form
+(`restrict`), from the coefficient vectors x with x H in the anticode.
+`module_intersect` meets two arbitrary modules by duality, through kernels,
+at about nine Howell forms; it is the reference the verification suites
+hold `restrict` to.
 """
 
 from __future__ import annotations
@@ -228,6 +234,38 @@ def module_intersect(a: ModMatrix, b: ModMatrix) -> ModMatrix:
     """Intersection via duality: (A cap B) is the annihilator of ann(A) + ann(B)."""
     _check_same_space(a, b)
     return kernel(module_sum(kernel(a), kernel(b)))
+
+
+def restrict(mat: ModMatrix, exponents) -> ModMatrix:
+    """Generators of span(mat) cap prod_t <p^{e_t}>, the code met with an anticode.
+
+    With H the h rows of mat, the intersection is {xH : p^{s-e_t} (xH)_t = 0
+    for every t}. One Howell form of the block [H diag(p^{s-e_t}) | I_h]
+    gives those x: as in `kernel`, its rows with zero left block span every
+    combination whose left block vanishes. Columns with e_t = 0 are left out,
+    since p^s = 0. The rows returned are not reduced; `Code` canonicalises.
+    """
+    exponents = tuple(exponents)
+    if len(exponents) != mat.n:
+        raise ValueError(f"{len(exponents)} exponents for length {mat.n}")
+    params = mat.params
+    p, s = params.p, params.s
+    h = len(mat.rows)
+    if not h:
+        return mat
+    scale = [(t, p ** (s - e)) for t, e in enumerate(exponents) if e]
+    big_rows = tuple(
+        tuple(row[t] * c for t, c in scale) + tuple(int(k == i) for k in range(h))
+        for i, row in enumerate(mat.rows)
+    )
+    width = len(scale)
+    big = howell_form(ModMatrix(params, width + h, big_rows))
+    coeffs = [row[width:] for row in big.rows if not any(row[:width])]
+    rows = tuple(
+        tuple(sum(x * gen[t] for x, gen in zip(c, mat.rows)) for t in range(mat.n))
+        for c in coeffs
+    )
+    return ModMatrix(params, mat.n, rows)
 
 
 @dataclass(frozen=True)

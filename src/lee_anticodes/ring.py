@@ -9,14 +9,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+# The first twelve primes: as Miller-Rabin bases they decide primality
+# exactly for every m below 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin for m < 2^64, which ChainRingParams enforces."""
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    for q in _MR_BASES:
+        if m % q == 0:
+            return m == q
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -28,6 +46,8 @@ class ChainRingParams:
     s: int
 
     def __post_init__(self) -> None:
+        if self.p >= 2**64:
+            raise ValueError(f"p must be below 2^64, got {self.p}")
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.s < 1:

@@ -314,11 +314,38 @@ def test_invariants_refuses_too_many_anticodes(capsys, monkeypatch, tmp_path):
         raise AssertionError("module intersection started")
 
     monkeypatch.setattr(matrices, "module_intersect", no_intersection)
+    monkeypatch.setattr(matrices, "restrict", no_intersection)
     monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
     for action in ("moments", "distribution", "rweights"):
         status, out, err = run_cli(capsys, "invariants", str(path), action)
         assert status == 2 and out == ""
         assert "anticode count: 531441 exceeds cap 2187" in err
+
+
+def test_code_dual_over_large_prime_finishes(tmp_path):
+    # Primality of the header's p once took trial division up to sqrt(p).
+    path = tmp_path / "big.txt"
+    path.write_text("1000000000000000003 1 2\n1 5\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lee_anticodes.cli", "code", str(path), "dual",
+         "--format", "text"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1000000000000000003 1 2\n1 400000000000000001\n"
+
+
+def test_prime_from_2_64_exits_1(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{2**64 + 13} 1 2\n1 5\n")
+    status, out, err = run_cli(capsys, "code", str(path), "dual")
+    assert status == 1 and out == ""
+    assert "p must be below 2^64" in err
 
 
 def test_module_runs_as_script():

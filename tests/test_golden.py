@@ -110,6 +110,22 @@ def test_invariants_take_no_census(action, fixed_env, monkeypatch):
     _check(f"invariants-mixed-{action}-default")
 
 
+@pytest.mark.parametrize("action", ["moments", "distribution", "rweights", "ghw"])
+def test_invariants_intersect_by_restriction(action, fixed_env, monkeypatch):
+    """C cap A is one restriction; the duality route is only the oracle's."""
+
+    def no_duality(*args, **kwargs):
+        raise AssertionError("duality route started")
+
+    monkeypatch.setattr(matrices, "module_intersect", no_duality)
+    monkeypatch.setattr(matrices, "kernel", no_duality)
+    inv._intersection_cached.cache_clear()
+    try:
+        _check(f"invariants-mixed-{action}-default")
+    finally:
+        inv._intersection_cached.cache_clear()
+
+
 def test_golden_cases_match_recorded_files():
     recorded = json.loads(STATUS.read_text())
     outputs = {path.stem for path in GOLDEN.glob("*.out")}

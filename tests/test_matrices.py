@@ -1,10 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lee_anticodes import matrices as mx
+from lee_anticodes.anticodes import Anticode
+from lee_anticodes.codes import Code
 from lee_anticodes.errors import CapExceeded
 from lee_anticodes.matrices import ModMatrix
 from lee_anticodes.oracle import span_elements
@@ -218,6 +220,52 @@ def test_module_identities(mat):
     h = mx.howell_form(mat)
     assert mx.module_intersect(mat, full) == h
     assert mx.module_sum(mat, mat) == h
+
+
+@st.composite
+def codes_and_exponents(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    params = ChainRingParams(p, draw(st.integers(1, 3)))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, 4))
+    rows = tuple(
+        tuple(draw(st.integers(0, params.modulus - 1)) for _ in range(n))
+        for _ in range(k)
+    )
+    exponents = draw(
+        st.one_of(
+            st.just((0,) * n),
+            st.just((params.s,) * n),
+            st.tuples(*[st.integers(0, params.s)] * n),
+        )
+    )
+    return ModMatrix(params, n, rows), exponents
+
+
+@settings(max_examples=80, deadline=None)
+@given(codes_and_exponents())
+@example((ModMatrix.zero(Z9, 3), (0, 1, 2)))
+@example((ModMatrix.full(Z9, 3), (0, 0, 0)))
+@example((ModMatrix.full(Z9, 3), (2, 2, 2)))
+def test_restrict_matches_module_intersect(case):
+    mat, exponents = case
+    H = Code(mat).gen
+    anticode = Anticode(mat.params, exponents).module()
+    want = Code(mx.module_intersect(H, anticode)).gen
+    assert Code(mx.restrict(H, exponents)).gen == want
+
+
+def test_restrict_examples():
+    code = ModMatrix(Z9, 3, ((1, 2, 1), (0, 3, 0)))
+    meet = Code(mx.restrict(code, (0, 1, 0))).gen
+    assert meet.rows == ((3, 0, 3), (0, 3, 0))
+    expected = {x for x in mx.enumerate_elements(code) if x[1] % 3 == 0}
+    assert set(mx.enumerate_elements(meet)) == expected
+    zero = ModMatrix.zero(Z9, 3)
+    assert mx.restrict(zero, (2, 2, 2)) is zero
+    assert mx.span_size(mx.restrict(code, (2, 2, 2))) == 1
+    with pytest.raises(ValueError):
+        mx.restrict(code, (0, 1))
 
 
 def test_submodule_census_size():

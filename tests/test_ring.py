@@ -5,6 +5,7 @@ from lee_anticodes.ring import (
     ChainRingParams,
     hamming_weight,
     hom_weight_scaled_vec,
+    is_prime,
     lee_weight_vec,
     vector_weight,
 )
@@ -138,3 +139,21 @@ def test_weights_are_translation_invariant_differences():
                 direct = vector_weight(Z9, diff, metric)
                 shifted = vector_weight(Z9, ((x + 2 - (y + 2)) % 9,), metric)
                 assert direct == shifted
+
+
+def test_is_prime_matches_trial_division():
+    def trial(m):
+        return m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
+
+    assert [m for m in range(10**4) if is_prime(m) != trial(m)] == []
+    # Strong pseudoprimes to several small bases, and primes near 2^64.
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(10**18 + 3)
+    assert is_prime(2**64 - 59)
+
+
+def test_params_refuse_p_from_2_64():
+    ChainRingParams(2**64 - 59, 1)
+    with pytest.raises(ValueError, match="below 2\\^64"):
+        ChainRingParams(2**64 + 13, 1)

@@ -3,7 +3,9 @@ import pytest
 from lee_anticodes import anticodes as ac
 from lee_anticodes import cli
 from lee_anticodes import invariants as inv
+from lee_anticodes import matrices as mx
 from lee_anticodes import verification as vf
+from lee_anticodes.matrices import ModMatrix
 from lee_anticodes.ring import ChainRingParams
 
 
@@ -41,6 +43,14 @@ def _optimal_off_by_one(_is_optimal):
     return lambda code, metric, cap=None: code.size == ac.hull(code).size + 1
 
 
+def _drops_last_generator(restrict):
+    def planted(mat, exponents):
+        meet = restrict(mat, exponents)
+        return ModMatrix(meet.params, meet.n, meet.rows[:-1])
+
+    return planted
+
+
 TABLES = "invariant tables satisfy both identities"
 
 # Each production route with one planted fault: (owner, attribute, fault,
@@ -48,6 +58,7 @@ TABLES = "invariant tables satisfy both identities"
 PLANTED = {
     "chain_bracket": (inv, "chain_bracket", _off_by_one, "invariants", TABLES),
     "mobius": (inv, "_mobius_terms", _mobius_skips_top_step, "invariants", TABLES),
+    "restrict": (mx, "restrict", _drops_last_generator, "invariants", TABLES),
     "count_inside": (
         inv, "count_inside", _off_by_one, "invariants",
         "pair counts match double enumeration",
@@ -67,8 +78,19 @@ PLANTED = {
 def test_planted_fault_fails_its_check(fault, monkeypatch, capsys):
     owner, attr, plant, scope, name = PLANTED[fault]
     monkeypatch.setattr(owner, attr, plant(getattr(owner, attr)))
-    results = {r.name: r for r in getattr(vf, f"verify_{scope}")(3, 2, 2)}
-    assert not results[name].passed
-    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
-    assert cli.main(["verify", scope, "--format", "text"]) == 3
-    assert f"FAIL {name}:" in capsys.readouterr().out
+    # Earlier tests leave correct intersections in the production cache.
+    inv._intersection_cached.cache_clear()
+    try:
+        results = {r.name: r for r in getattr(vf, f"verify_{scope}")(3, 2, 2)}
+        assert not results[name].passed
+        monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+        assert cli.main(["verify", scope, "--format", "text"]) == 3
+        assert f"FAIL {name}:" in capsys.readouterr().out
+    finally:
+        inv._intersection_cached.cache_clear()
+
+
+def test_ghw_checked_for_p_2():
+    results = {r.name: r for r in vf.verify_invariants(2, 2, 2)}
+    assert results["ghw matches brute support minima"].passed
+    assert all(r.passed for r in results.values())
