@@ -85,7 +85,10 @@ class Code:
         return Code(matrices.kernel(self.gen))
 
     def contains_vector(self, vec) -> bool:
-        return matrices.membership(vec, self.gen)
+        """Membership by reduction against the generator, a Howell form already."""
+        if len(vec) != self.n:
+            raise ValueError(f"vector length {len(vec)} != {self.n}")
+        return not any(matrices._residue(vec, self.gen))
 
     def max_weight(self, metric: str, cap: int = DEFAULT_ENUM_CAP) -> int:
         return max(vector_weight(self.params, w, metric) for w in self.codewords(cap))

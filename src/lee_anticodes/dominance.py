@@ -18,10 +18,10 @@ DEFAULT_LATTICE_CAP = 10**5
 
 
 def check_composition(a) -> tuple[int, ...]:
-    a = tuple(int(x) for x in a)
+    a = tuple(map(int, a))
     if not a:
         raise ValueError("composition needs at least one part")
-    if any(x < 0 for x in a):
+    if min(a) < 0:
         raise ValueError(f"composition parts must be nonnegative: {a}")
     return a
 

@@ -16,8 +16,8 @@ the hull gives
 
 whose unitriangular inversion has the signed binomial coefficients of
 `inversion_coefficient`. Each quantity is computed one way here;
-`verification.verify_invariants` checks it against the submodule census,
-the double enumeration of pairs and both identities.
+`verification.verify_invariants` checks it against the element-set census
+of submodules, the double enumeration of pairs and both identities.
 """
 
 from __future__ import annotations
@@ -227,30 +227,35 @@ class InvariantTable:
     minimal_valid: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def moments_from_distribution(table: InvariantTable, a, j: int) -> int:
-    """B_a^(j) reconstructed from the W table: sum of W_b * count_containing(b, a)."""
+def _dominated_sum(entries: dict, rank: int, a, coefficient, label: str) -> list[int]:
+    """Row over j = 0..rank of sum over b dominated by a of entries[(b, j)] *
+    coefficient(b, a), enumerating the b and their coefficients once."""
     a = tuple(a)
-    total = 0
+    row = [0] * (rank + 1)
     for b in compositions(len(a), sum(a)):
         if dominance_leq(b, a):
-            key = (b, j)
-            if key not in table.weight_distributions:
-                raise ValueError(f"table missing W entry for {key}")
-            total += table.weight_distributions[key] * count_containing(b, a)
-    return total
+            coeff = coefficient(b, a)
+            for j in range(rank + 1):
+                if (b, j) not in entries:
+                    raise ValueError(f"table missing {label} entry for {(b, j)}")
+                row[j] += entries[(b, j)] * coeff
+    return row
 
 
-def distribution_from_moments(table: InvariantTable, a, j: int) -> int:
-    """W_a^(j) reconstructed from the B table via the signed inversion."""
-    a = tuple(a)
-    total = 0
-    for b in compositions(len(a), sum(a)):
-        if dominance_leq(b, a):
-            key = (b, j)
-            if key not in table.binomial_moments:
-                raise ValueError(f"table missing B entry for {key}")
-            total += table.binomial_moments[key] * inversion_coefficient(b, a)
-    return total
+def moments_from_distribution(table: InvariantTable, a) -> list[int]:
+    """B_a^(j) for j = 0..rank, reconstructed from the W table:
+    sum of W_b * count_containing(b, a)."""
+    return _dominated_sum(
+        table.weight_distributions, table.rank, a, count_containing, "W"
+    )
+
+
+def distribution_from_moments(table: InvariantTable, a) -> list[int]:
+    """W_a^(j) for j = 0..rank, reconstructed from the B table via the signed
+    inversion."""
+    return _dominated_sum(
+        table.binomial_moments, table.rank, a, inversion_coefficient, "B"
+    )
 
 
 def rank_intersection_identity(code: Code, anticode: ac.Anticode) -> tuple[int, int]:

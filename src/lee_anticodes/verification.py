@@ -4,11 +4,17 @@ Each suite returns a list of CheckResult records, one per property. A check
 fails by returning a counterexample description, never by raising: internal
 cross-check errors from the library are caught and reported as failures so
 the CLI can dump them and exit with the triage code for theorem violations.
+
+verify_invariants reads every subcode count off the one element-set census
+of R^n that oracle.enumerate_submodules builds for the suite (see
+_subcode_floors); no Howell-form census or module intersection enters that
+reference.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import anticodes as ac
@@ -163,9 +169,34 @@ def _census_codes(params: ChainRingParams, n: int, cap: int):
     return census, [Code(entry.mat) for entry in census.entries]
 
 
+def _subcode_floors(params: ChainRingParams, census) -> list[Counter]:
+    """For each census entry C, how many entries D inside C have each
+    (rank, floor), by element sets alone.
+
+    The floor of D is the minimum valuation of each coordinate over its
+    elements. D lies inside the anticode with exponents e iff floor >= e
+    componentwise, its hull is the anticode with exponents floor, and it is
+    nonzero at coordinate t iff floor_t < s.
+    """
+    valuation = [params.valuation(x) for x in range(params.modulus)]
+    coords = range(census.parent.n)
+    floors = [
+        tuple(min(valuation[v[t]] for v in entry.elements) for t in coords)
+        for entry in census.entries
+    ]
+    return [
+        Counter(
+            (d.rank, floor)
+            for d, floor in zip(census.entries, floors)
+            if d.elements <= c.elements
+        )
+        for c in census.entries
+    ]
+
+
 def verify_counting(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP):
     params = ChainRingParams(p, s)
-    census, _codes = _census_codes(params, n, cap)
+    census, codes = _census_codes(params, n, cap)
     comps = comp.compositions(s + 1, n)
 
     def check_census_total():
@@ -231,9 +262,9 @@ def verify_counting(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP
 
     def check_membership():
         universe = sorted(census.entries[-1].elements)
-        for entry in census.entries:
+        for entry, code in zip(census.entries, codes):
             for x in universe:
-                if matrices.membership(x, entry.mat) != (x in entry.elements):
+                if code.contains_vector(x) != (x in entry.elements):
                     return f"membership disagrees for {x} in {entry.mat.rows}"
         return None
 
@@ -365,38 +396,36 @@ def verify_anticodes(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CA
 
 def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP):
     params = ChainRingParams(p, s)
-    _census, codes = _census_codes(params, n, cap)
+    census, codes = _census_codes(params, n, cap)
+    subcodes = _subcode_floors(params, census)
     all_anticodes = oracle.enumerate_anticodes(n, params)
     comps = comp.compositions(s + 1, n)
 
     def check_tables():
-        # Every cell against the census of each C cap A: B counts its rank-j
-        # submodules, W those whose hull is A. Then B >= W and both identities.
-        # C cap A comes from the duality route, not the production restriction.
-        for c in codes:
+        # Every cell against the element-set census: B(A, j) counts the
+        # rank-j subcodes of C inside A, W(A, j) those whose hull is A.
+        # Then B >= W and both identities, one row over j per (table, a).
+        for c, subs in zip(codes, subcodes):
             table = inv.build_invariant_table(c)
             for a in comps:
-                census = [
-                    (r, hull == A.exponents)
-                    for A in ac.family(a, params)
-                    for r, hull in inv._subcode_stats(
-                        Code(matrices.module_intersect(c.gen, A.module())), cap
-                    )
-                ]
+                want_b = [0] * (c.rank + 1)
+                want_w = [0] * (c.rank + 1)
+                for A in ac.family(a, params):
+                    e = A.exponents
+                    for (r, floor), count in subs.items():
+                        if all(x >= y for x, y in zip(floor, e)):
+                            want_b[r] += count
+                            if floor == e:
+                                want_w[r] += count
+                moments = inv.moments_from_distribution(table, a)
+                weights = inv.distribution_from_moments(table, a)
                 for j in range(c.rank + 1):
                     key, where = (a, j), f"at a={a}, j={j} for {c.gen.rows}"
-                    want = (
-                        sum(r == j for r, _ in census),
-                        sum(r == j and at_a for r, at_a in census),
-                    )
+                    want = (want_b[j], want_w[j])
                     got = (table.binomial_moments[key], table.weight_distributions[key])
                     if got != want:
                         return f"(B, W) = {got} but the census gives {want} {where}"
-                    identities = (
-                        inv.moments_from_distribution(table, a, j),
-                        inv.distribution_from_moments(table, a, j),
-                    )
-                    if got[0] < got[1] or identities != got:
+                    if got[0] < got[1] or (moments[j], weights[j]) != got:
                         return f"B < W or an inversion identity fails {where}"
         return None
 
@@ -442,9 +471,12 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
         return None
 
     def check_ghw():
-        for c in codes:
+        for c, subs in zip(codes, subcodes):
             values = [inv.ghw(c, r) for r in range(1, c.rank + 1)]
-            brute = [inv.ghw_brute(c, r, cap) for r in range(1, c.rank + 1)]
+            brute = [
+                min(sum(x < s for x in floor) for rank, floor in subs if rank == r)
+                for r in range(1, c.rank + 1)
+            ]
             if values != brute:
                 return f"ghw {values} != brute {brute} for {c.gen.rows}"
             if any(x >= y for x, y in zip(values, values[1:])):

@@ -284,14 +284,14 @@ def test_criterion_11_table_identities(report):
     for code in codes:
         table = inv.build_invariant_table(code)
         for a in dom.compositions(3, 3):
+            moments = inv.moments_from_distribution(table, a)
+            weights = inv.distribution_from_moments(table, a)
+            if len(moments) != table.rank + 1 or len(weights) != table.rank + 1:
+                ok = False
             for j in range(table.rank + 1):
-                if inv.moments_from_distribution(table, a, j) != (
-                    table.binomial_moments[(a, j)]
-                ):
+                if moments[j] != table.binomial_moments[(a, j)]:
                     ok = False
-                if inv.distribution_from_moments(table, a, j) != (
-                    table.weight_distributions[(a, j)]
-                ):
+                if weights[j] != table.weight_distributions[(a, j)]:
                     ok = False
     report(11, ok, "both inversion identities on two full tables")
     assert ok

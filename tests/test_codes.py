@@ -82,6 +82,8 @@ def test_contains_vector():
     assert c.contains_vector((4, 5, 0))
     assert not c.contains_vector((1, 0, 0))
     assert not c.contains_vector((0, 0, 1))
+    with pytest.raises(ValueError):
+        c.contains_vector((1, 2))
 
 
 def test_weight_extremes():

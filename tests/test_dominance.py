@@ -19,6 +19,8 @@ def test_composition_validation():
     with pytest.raises(ValueError):
         dom.check_composition((1, -1, 3))
     with pytest.raises(ValueError):
+        dom.check_composition(())
+    with pytest.raises(ValueError):
         dom.check_pair((1, 2), (1, 2, 0))
     with pytest.raises(ValueError):
         dom.check_pair((1, 2), (2, 2))

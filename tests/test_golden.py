@@ -126,6 +126,23 @@ def test_invariants_intersect_by_restriction(action, fixed_env, monkeypatch):
         inv._intersection_cached.cache_clear()
 
 
+def test_verify_invariants_counts_in_the_element_census(fixed_env, monkeypatch):
+    """verify reads every subcode count off the element-set census it holds;
+    no Howell-form census or duality intersection runs."""
+
+    def no_howell_census(*args, **kwargs):
+        raise AssertionError("Howell-form census route started")
+
+    for owner, attr in (
+        (matrices, "submodule_census"),
+        (matrices, "module_intersect"),
+        (inv, "_subcode_stats"),
+        (inv, "ghw_brute"),
+    ):
+        monkeypatch.setattr(owner, attr, no_howell_census)
+    _check("verify-invariants-default")
+
+
 def test_golden_cases_match_recorded_files():
     recorded = json.loads(STATUS.read_text())
     outputs = {path.stem for path in GOLDEN.glob("*.out")}

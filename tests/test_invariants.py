@@ -238,15 +238,12 @@ def test_build_invariant_table():
 def test_table_identities_explicitly():
     table = inv.build_invariant_table(example_code())
     for a in compositions(3, 3):
+        moments = inv.moments_from_distribution(table, a)
+        weights = inv.distribution_from_moments(table, a)
+        assert len(moments) == len(weights) == table.rank + 1
         for j in range(table.rank + 1):
-            assert (
-                inv.moments_from_distribution(table, a, j)
-                == table.binomial_moments[(a, j)]
-            )
-            assert (
-                inv.distribution_from_moments(table, a, j)
-                == table.weight_distributions[(a, j)]
-            )
+            assert moments[j] == table.binomial_moments[(a, j)]
+            assert weights[j] == table.weight_distributions[(a, j)]
 
 
 def test_table_digest_identifies_code():

@@ -5,6 +5,7 @@ from lee_anticodes import cli
 from lee_anticodes import invariants as inv
 from lee_anticodes import matrices as mx
 from lee_anticodes import verification as vf
+from lee_anticodes.codes import Code
 from lee_anticodes.matrices import ModMatrix
 from lee_anticodes.ring import ChainRingParams
 
@@ -43,6 +44,10 @@ def _optimal_off_by_one(_is_optimal):
     return lambda code, metric, cap=None: code.size == ac.hull(code).size + 1
 
 
+def _negated(method):
+    return lambda self, *args: not method(self, *args)
+
+
 def _drops_last_generator(restrict):
     def planted(mat, exponents):
         meet = restrict(mat, exponents)
@@ -59,9 +64,18 @@ PLANTED = {
     "chain_bracket": (inv, "chain_bracket", _off_by_one, "invariants", TABLES),
     "mobius": (inv, "_mobius_terms", _mobius_skips_top_step, "invariants", TABLES),
     "restrict": (mx, "restrict", _drops_last_generator, "invariants", TABLES),
+    "count_containing": (inv, "count_containing", _off_by_one, "invariants", TABLES),
+    "inversion_coefficient": (
+        inv, "inversion_coefficient", _off_by_one, "invariants", TABLES,
+    ),
     "count_inside": (
         inv, "count_inside", _off_by_one, "invariants",
         "pair counts match double enumeration",
+    ),
+    "ghw": (inv, "ghw", _off_by_one, "invariants", "ghw matches brute support minima"),
+    "contains_vector": (
+        Code, "contains_vector", _negated, "counting",
+        "membership agrees with element sets",
     ),
     "is_optimal": (
         ac, "is_optimal", _optimal_off_by_one, "anticodes",
