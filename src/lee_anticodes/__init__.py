@@ -3,204 +3,20 @@ over the chain rings Z/p^s Z.
 
 Exact integer arithmetic throughout. Every closed form ships with an
 independent brute-force oracle; the `verification` module cross-checks them.
+Everything else is imported from its own module, e.g.
+`from lee_anticodes import invariants`.
 """
 
-from .anticodes import (
-    Anticode,
-    canonical_anticode,
-    canonical_generator,
-    contains,
-    dual_anticode,
-    exponent_vectors,
-    family,
-    family_size,
-    hamming_bound,
-    hom_bound_scaled,
-    hull,
-    is_optimal,
-    lee_bound,
-    weight_bound,
-)
-from .codes import (
-    Code,
-    analysis_record,
-    hamming_support,
-    type_partition,
-)
-from .dominance import (
-    LINEAR_EXTENSION_NAME,
-    boolean_sublattice,
-    bottom,
-    composition_count,
-    compositions,
-    covered_by,
-    covers,
-    dominance_leq,
-    hasse_dot,
-    is_join_irreducible,
-    is_meet_irreducible,
-    join,
-    lattice_rank,
-    linear_key,
-    maximal_chain_length,
-    maximal_chains,
-    meet,
-    mobius,
-    prefix_sums,
-    reverse_composition,
-    top,
-)
+from .anticodes import is_optimal, lee_bound
+from .codes import Code
 from .errors import CapExceeded, InternalCheckError
-from .invariants import (
-    InvariantTable,
-    binomial_moment,
-    binomial_moment_single,
-    build_invariant_table,
-    chain_bracket,
-    count_containing,
-    count_inside,
-    distribution_from_moments,
-    gaussian_binomial,
-    ghw,
-    ghw_brute,
-    inversion_coefficient,
-    moments_from_distribution,
-    pair_count,
-    r_weight,
-    r_weight_free,
-    r_weight_minimal_set,
-    table_json_dict,
-    weight_distribution,
-    weight_distribution_single,
-)
-from .matrices import (
-    ModMatrix,
-    SystematicForm,
-    enumerate_elements,
-    format_matrix,
-    free_rank,
-    howell_form,
-    kernel,
-    membership,
-    module_intersect,
-    module_sum,
-    parse_matrix,
-    span_size,
-    submodule_census,
-    subtype,
-    systematic_form,
-)
-from .oracle import (
-    ModuleCensus,
-    PosetOracle,
-    enumerate_anticodes,
-    enumerate_codes,
-    enumerate_submodules,
-    poset_oracle,
-    span_elements,
-    subtype_from_elements,
-)
-from .ring import METRICS, ChainRingParams
-from .verification import (
-    CheckResult,
-    verify_all,
-    verify_anticodes,
-    verify_counting,
-    verify_invariants,
-    verify_lattice,
-)
+from .ring import ChainRingParams
 
 __all__ = [
-    "METRICS",
-    "LINEAR_EXTENSION_NAME",
-    "Anticode",
     "CapExceeded",
     "ChainRingParams",
-    "CheckResult",
     "Code",
     "InternalCheckError",
-    "InvariantTable",
-    "ModMatrix",
-    "ModuleCensus",
-    "PosetOracle",
-    "SystematicForm",
-    "analysis_record",
-    "binomial_moment",
-    "binomial_moment_single",
-    "boolean_sublattice",
-    "bottom",
-    "build_invariant_table",
-    "canonical_anticode",
-    "canonical_generator",
-    "chain_bracket",
-    "composition_count",
-    "compositions",
-    "contains",
-    "count_containing",
-    "count_inside",
-    "covered_by",
-    "covers",
-    "distribution_from_moments",
-    "dominance_leq",
-    "dual_anticode",
-    "enumerate_anticodes",
-    "enumerate_codes",
-    "enumerate_elements",
-    "enumerate_submodules",
-    "exponent_vectors",
-    "family",
-    "family_size",
-    "format_matrix",
-    "free_rank",
-    "gaussian_binomial",
-    "ghw",
-    "ghw_brute",
-    "hamming_bound",
-    "hamming_support",
-    "hasse_dot",
-    "hom_bound_scaled",
-    "howell_form",
-    "hull",
-    "inversion_coefficient",
-    "is_join_irreducible",
-    "is_meet_irreducible",
     "is_optimal",
-    "join",
-    "kernel",
-    "lattice_rank",
     "lee_bound",
-    "linear_key",
-    "maximal_chain_length",
-    "maximal_chains",
-    "meet",
-    "membership",
-    "mobius",
-    "module_intersect",
-    "module_sum",
-    "moments_from_distribution",
-    "pair_count",
-    "parse_matrix",
-    "poset_oracle",
-    "prefix_sums",
-    "r_weight",
-    "r_weight_free",
-    "r_weight_minimal_set",
-    "reverse_composition",
-    "span_elements",
-    "span_size",
-    "submodule_census",
-    "subtype",
-    "subtype_from_elements",
-    "systematic_form",
-    "table_json_dict",
-    "top",
-    "type_partition",
-    "verify_all",
-    "verify_anticodes",
-    "verify_counting",
-    "verify_invariants",
-    "verify_lattice",
-    "weight_bound",
-    "weight_distribution",
-    "weight_distribution_single",
 ]

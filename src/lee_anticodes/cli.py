@@ -314,7 +314,7 @@ def cmd_invariants(args, cap: int | None) -> _Output:
     shape = {"p": params.p, "s": params.s, "n": code.n, "rank": code.rank}
 
     if args.action == "ghw":
-        ghw_list = [inv.ghw(code, r) for r in ranks]
+        ghw_list = list(inv.ghw(code))
         return _Output(
             {**shape, "ghw": ghw_list},
             header="r;ghw",
@@ -324,8 +324,9 @@ def cmd_invariants(args, cap: int | None) -> _Output:
 
     # rweights: r_weight_minimal_set meets C with every anticode.
     guard_cap((params.s + 1) ** code.n, capv, "anticode count")
-    r_weights = [inv.r_weight(code, r) for r in ranks]
-    r_free = [inv.r_weight_free(code, r) for r in ranks]
+    minimal = inv.r_weight_minimal_set(code)
+    r_weights = [tier[0] for tier in minimal]
+    r_free = inv.r_weight_free(code)
     ghw_list = [a[0] for a in r_free]
     record = {
         **shape,
@@ -333,9 +334,7 @@ def cmd_invariants(args, cap: int | None) -> _Output:
         "r_weights": [list(a) for a in r_weights],
         "r_weights_free": [list(a) for a in r_free],
         "ghw": ghw_list,
-        "minimal_valid": [
-            [list(a) for a in inv.r_weight_minimal_set(code, r)] for r in ranks
-        ],
+        "minimal_valid": [[list(a) for a in tier] for tier in minimal],
     }
     return _Output(
         record,

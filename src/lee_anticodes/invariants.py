@@ -3,7 +3,7 @@ moments, weight distributions, their inversion identities, and R-weights.
 
 All counts are exact integers. Anticode shapes are weak compositions
 a = (a_0, ..., a_s) of n ordered by dominance; the fixed linear extension is
-lexicographic order on prefix sums (compositions.linear_key).
+lexicographic order on prefix sums (dominance.linear_key).
 
 The binomial moment B(A, j) of a code C counts the rank-j subcodes of
 C cap A, taken by matrices.restrict, by chain_bracket sums; the weight
@@ -15,7 +15,15 @@ the hull gives
     B_a^(j) = sum over b dominated by a of W_b^(j) * count_containing(b, a)
 
 whose unitriangular inversion has the signed binomial coefficients of
-`inversion_coefficient`. Each quantity is computed one way here;
+`inversion_coefficient`.
+
+The family rank of a, the largest rank(C cap A) over A in family(a), only
+grows along dominance. Every R-weight quantity is read off that one map,
+walked once per code for r = 1..rank(C) together: the minimal sets
+(shapes whose rank exceeds that of every shape they cover), the R-weights
+d_r (the first of each minimal set), and, on the chain of free shapes
+alone, the free R-weights and generalized Hamming weights (Wei 1991, in
+the anticode form of Ravagnani 2016). Each quantity is computed one way here;
 `verification.verify_invariants` checks it against the element-set census
 of submodules, the double enumeration of pairs and both identities.
 """
@@ -35,8 +43,8 @@ from .dominance import (
     LINEAR_EXTENSION_NAME,
     check_pair,
     compositions,
+    covered_by,
     dominance_leq,
-    linear_key,
     prefix_sums,
 )
 from .errors import InternalCheckError, guard_cap
@@ -147,6 +155,9 @@ def _intersection_cached(code: Code, anticode: ac.Anticode) -> Code:
     return Code(matrices.restrict(code.gen, anticode.exponents))
 
 
+# Nothing in the package calls _subcode_stats or matrices.submodule_census;
+# perfbench/spans.py wraps the census and reads this cache, so both stay
+# until the benchmark drops them.
 @lru_cache(maxsize=None)
 def _subcode_stats(code: Code, cap: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(rank, hull exponents) for every submodule of the given code, by census."""
@@ -190,18 +201,6 @@ def weight_distribution_single(code: Code, anticode: ac.Anticode, j: int) -> int
     return sum(
         sign * binomial_moment_single(code, ac.Anticode(params, exps), j)
         for sign, exps in _mobius_terms(anticode.exponents, params.s)
-    )
-
-
-def binomial_moment(code: Code, a, j: int) -> int:
-    """Aggregate B_a^(j): sum of binomial_moment_single over family(a)."""
-    return sum(binomial_moment_single(code, A, j) for A in ac.family(a, code.params))
-
-
-def weight_distribution(code: Code, a, j: int) -> int:
-    """Aggregate W_a^(j): sum of weight_distribution_single over family(a)."""
-    return sum(
-        weight_distribution_single(code, A, j) for A in ac.family(a, code.params)
     )
 
 
@@ -258,83 +257,57 @@ def distribution_from_moments(table: InvariantTable, a) -> list[int]:
     )
 
 
-def rank_intersection_identity(code: Code, anticode: ac.Anticode) -> tuple[int, int]:
-    """Both sides of the quoted relation rank(C cap A) = K - a_s + freerank(C-perp cap A-perp).
+def _family_rank(code: Code, a) -> int:
+    """max over A in family(a) of rank(C cap A); it only grows along dominance."""
+    return max(_intersection_cached(code, A).rank for A in ac.family(a, code.params))
 
-    The relation is false in general, because free rank is not modular: for
-    C = <(1,3)> over (Z/9)^2 and A with exponents (0,2) the left side is 1
-    and the right side 0. The sound form, which verify_invariants checks, is
-    rank(C cap A) = n - freerank(C-perp + A-perp), from (C cap A)-perp =
-    C-perp + A-perp. Returns (lhs, rhs) so callers can see where they differ.
+
+def r_weight_minimal_set(code: Code) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For r = 1..rank(C), the dominance-minimal shapes whose family meets C
+    in rank >= r, in the linear extension.
+
+    One walk maps every shape to its family rank. The shapes reaching r form
+    an up-set, so a is minimal in it iff r exceeds the rank of every shape a
+    covers: a is minimal exactly for the r above that floor up to its rank.
     """
-    lhs = _intersection_cached(code, anticode).rank
-    a_s = anticode.n - anticode.rank
-    dual_meet = Code(
-        matrices.module_intersect(code.dual().gen, ac.dual_anticode(anticode).module())
-    )
-    rhs = code.rank - a_s + dual_meet.free_rank
-    return lhs, rhs
+    ranks = {a: _family_rank(code, a) for a in compositions(code.params.s + 1, code.n)}
+    tiers: list[list] = [[] for _ in range(code.rank)]
+    for a, k in ranks.items():
+        floor = max((ranks[b] for b in covered_by(a)), default=0)
+        for r in range(floor + 1, min(k, code.rank) + 1):
+            tiers[r - 1].append(a)
+    for r, tier in enumerate(tiers, start=1):
+        if not tier:
+            raise InternalCheckError(
+                f"no composition admits rank {r}; code rank {code.rank}"
+            )
+    return tuple(tuple(tier) for tier in tiers)
 
 
-def _family_max_rank(code: Code, a) -> int:
-    return max(
-        _intersection_cached(code, A).rank for A in ac.family(a, code.params)
-    )
+def r_weight(code: Code) -> tuple[tuple[int, ...], ...]:
+    """The R-weights d_1, ..., d_rank(C): d_r is the first a in the linear
+    extension whose family meets C in rank >= r, the first minimal shape."""
+    return tuple(tier[0] for tier in r_weight_minimal_set(code))
 
 
-def r_weight(code: Code, r: int) -> tuple[int, ...]:
-    """The r-th R-weight: first a in the linear extension whose family meets C in rank >= r."""
-    if not 1 <= r <= code.rank:
-        raise ValueError(f"r must lie in 1..{code.rank}, got {r}")
+def r_weight_free(code: Code) -> tuple[tuple[int, ...], ...]:
+    """Like r_weight, over the free shapes (m, 0, ..., 0, n-m) only: a chain,
+    walked in m until its family rank reaches rank(C)."""
     s, n = code.params.s, code.n
-    for a in compositions(s + 1, n):
-        if _family_max_rank(code, a) >= r:
-            return a
-    raise InternalCheckError(f"no composition admits rank {r}; code rank {code.rank}")
-
-
-def r_weight_free(code: Code, r: int) -> tuple[int, ...]:
-    """Like r_weight but restricted to free anticode shapes (m, 0, ..., 0, n-m)."""
-    if not 1 <= r <= code.rank:
-        raise ValueError(f"r must lie in 1..{code.rank}, got {r}")
-    s, n = code.params.s, code.n
+    out: list = []
     for m in range(n + 1):
         a = (m,) + (0,) * (s - 1) + (n - m,)
-        if _family_max_rank(code, a) >= r:
-            return a
-    raise InternalCheckError(f"no free shape admits rank {r}; code rank {code.rank}")
-
-
-def ghw(code: Code, r: int) -> int:
-    """The r-th generalized Hamming weight: the m of the free R-weight shape."""
-    return r_weight_free(code, r)[0]
-
-
-def r_weight_minimal_set(code: Code, r: int) -> tuple[tuple[int, ...], ...]:
-    """All dominance-minimal compositions whose family meets C in rank >= r."""
-    if not 1 <= r <= code.rank:
-        raise ValueError(f"r must lie in 1..{code.rank}, got {r}")
-    s, n = code.params.s, code.n
-    valid = [a for a in compositions(s + 1, n) if _family_max_rank(code, a) >= r]
-    minimal = [
-        a
-        for a in valid
-        if not any(b != a and dominance_leq(b, a) for b in valid)
-    ]
-    return tuple(sorted(minimal, key=linear_key))
-
-
-def ghw_brute(code: Code, r: int, cap: int = DEFAULT_CENSUS_CAP) -> int:
-    """Direct minimum of |hamming_support(D)| over rank-r subcodes D of C.
-
-    D is nonzero at coordinate t iff its hull exponent e_t is below s, so
-    the census of `_subcode_stats` serves every r."""
-    if not 1 <= r <= code.rank:
-        raise ValueError(f"r must lie in 1..{code.rank}, got {r}")
-    s = code.params.s
-    return min(
-        sum(e < s for e in hull) for rank, hull in _subcode_stats(code, cap) if rank == r
+        out.extend([a] * (min(_family_rank(code, a), code.rank) - len(out)))
+        if len(out) == code.rank:
+            return tuple(out)
+    raise InternalCheckError(
+        f"no free shape admits rank {len(out) + 1}; code rank {code.rank}"
     )
+
+
+def ghw(code: Code) -> tuple[int, ...]:
+    """The generalized Hamming weights: the m of each free R-weight shape."""
+    return tuple(a[0] for a in r_weight_free(code))
 
 
 def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> InvariantTable:
@@ -373,10 +346,8 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
         for j in range(jmax + 1):
             moments[(a, j)] = b_sum[j]
             weights[(a, j)] = w_sum[j]
-    r_list = [r_weight(code, r) for r in range(1, jmax + 1)]
-    r_free_list = [r_weight_free(code, r) for r in range(1, jmax + 1)]
-    ghw_list = [a[0] for a in r_free_list]
-    minimal = [r_weight_minimal_set(code, r) for r in range(1, jmax + 1)]
+    minimal = r_weight_minimal_set(code)
+    r_free = r_weight_free(code)
     return InvariantTable(
         params=params,
         n=n,
@@ -385,10 +356,10 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
         linear_extension=LINEAR_EXTENSION_NAME,
         binomial_moments=moments,
         weight_distributions=weights,
-        r_weights=tuple(r_list),
-        r_weights_free=tuple(r_free_list),
-        ghw=tuple(ghw_list),
-        minimal_valid=tuple(minimal),
+        r_weights=tuple(tier[0] for tier in minimal),
+        r_weights_free=r_free,
+        ghw=tuple(a[0] for a in r_free),
+        minimal_valid=minimal,
     )
 
 

@@ -13,9 +13,9 @@ pivots p^{v_1}, ..., p^{v_K} with nondecreasing valuations, and those
 valuations read off the module's subtype: the span is isomorphic to a direct
 sum of cyclic modules p^{v_i} R. Howell pivots cannot be used for that
 purpose: span{(3,1)} over Z/9 has Howell form {(3,1),(0,3)} with two
-non-unit pivots, yet the module is cyclic with a single generator of
-valuation 1 and free rank 0, subtype (0,1) read from its systematic
-diagonal after a column swap.
+non-unit pivots, yet the module is free of rank 1 with the single
+generator (3,1): after a column swap its unit entry is the systematic
+pivot, diagonal (0,), free rank 1, subtype (1,0).
 
 A code met with an anticode, C cap prod_t <p^{e_t}>, takes one Howell form
 (`restrict`), from the coefficient vectors x with x H in the anticode.

@@ -433,8 +433,8 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
         # rk(C cap A) = n - freerk(Cperp + Aperp). This is the sound form of
         # the duality, via rk(M) = n - freerk(Mperp) and (C cap A)perp =
         # Cperp + Aperp. The often-quoted variant K - a_s + freerk(Cperp cap
-        # Aperp) is false in general (free rank is not modular); see
-        # rank_intersection_identity, which reports both sides of it.
+        # Aperp) is false in general (free rank is not modular); acceptance
+        # criterion 13 keeps its refutation on record.
         for c in codes:
             dual = c.dual()
             for A in all_anticodes:
@@ -464,7 +464,7 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
 
     def check_chain_monotone():
         for c in codes:
-            chain = [inv.r_weight(c, r) for r in range(1, c.rank + 1)]
+            chain = list(inv.r_weight(c))
             for d1, d2 in zip(chain, chain[1:]):
                 if comp.linear_key(d1) > comp.linear_key(d2):
                     return f"r-weight chain decreases for {c.gen.rows}: {chain}"
@@ -472,7 +472,7 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
 
     def check_ghw():
         for c, subs in zip(codes, subcodes):
-            values = [inv.ghw(c, r) for r in range(1, c.rank + 1)]
+            values = list(inv.ghw(c))
             brute = [
                 min(sum(x < s for x in floor) for rank, floor in subs if rank == r)
                 for r in range(1, c.rank + 1)
@@ -484,13 +484,7 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
         return None
 
     def check_free_weights_determined():
-        data = [
-            (
-                [inv.r_weight(c, r) for r in range(1, c.rank + 1)],
-                [inv.r_weight_free(c, r) for r in range(1, c.rank + 1)],
-            )
-            for c in codes
-        ]
+        data = [(inv.r_weight(c), inv.r_weight_free(c)) for c in codes]
         for chain_a, free_a in data:
             for chain_b, free_b in data:
                 for r in range(min(len(chain_a), len(chain_b))):

@@ -244,7 +244,7 @@ def test_criterion_10_invariant_example(report):
         inv.binomial_moment_single(code, Anticode(Z9, exps), 1)
         for exps in anticode_order
     )
-    aggregate = inv.binomial_moment(code, (1, 1, 1), 1)
+    aggregate = inv.build_invariant_table(code).binomial_moments[((1, 1, 1), 1)]
     rank_two_meet_trivially = [
         entry.mat.rows
         for entry in census.entries
@@ -314,7 +314,7 @@ def test_criterion_12_pair_count(report):
     assert ok
 
 
-def test_criterion_13_rank_duality(report):
+def test_criterion_13_rank_duality(report, rank_intersection_identity):
     """Intersection rank against the dual side, on every pair over (Z/9)^2.
 
     Since (C cap A)-perp = C-perp + A-perp and rank(M) = n - freerank(M-perp),
@@ -354,7 +354,7 @@ def test_criterion_13_rank_duality(report):
                 mx.module_sum(dual.gen, ac.dual_anticode(anticode).module())
             )
             if (
-                inv.rank_intersection_identity(code, anticode) != (meet_rank, quoted)
+                rank_intersection_identity(code, anticode) != (meet_rank, quoted)
                 or library_dual_sum.free_rank != dual_sum_free
             ):
                 library_mismatches.append((entry.mat.rows, anticode.exponents))
@@ -382,19 +382,18 @@ def test_criterion_13_rank_duality(report):
     assert quoted_failures == expected_quoted_failures
 
 
-def test_criterion_14_r_weights(report):
+def test_criterion_14_r_weights(report, ghw_by_elements):
     ok = True
     for code in oracle.enumerate_codes(2, Z9):
         if code.rank == 0:
             continue
-        chain = [inv.r_weight(code, r) for r in range(1, code.rank + 1)]
+        chain = inv.r_weight(code)
         for lo, hi in zip(chain, chain[1:]):
             if dom.linear_cmp(lo, hi) > 0:
                 ok = False
-        ghws = [inv.ghw(code, r) for r in range(1, code.rank + 1)]
-        for r, value in enumerate(ghws, start=1):
-            if value != inv.ghw_brute(code, r):
-                ok = False
+        ghws = inv.ghw(code)
+        if ghws != ghw_by_elements(code):
+            ok = False
         if any(lo >= hi for lo, hi in zip(ghws, ghws[1:])):
             ok = False
     report(14, ok, "monotone chains; ghw equals brute support minimum")

@@ -137,7 +137,6 @@ def test_verify_invariants_counts_in_the_element_census(fixed_env, monkeypatch):
         (matrices, "submodule_census"),
         (matrices, "module_intersect"),
         (inv, "_subcode_stats"),
-        (inv, "ghw_brute"),
     ):
         monkeypatch.setattr(owner, attr, no_howell_census)
     _check("verify-invariants-default")

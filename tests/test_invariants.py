@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from lee_anticodes import invariants as inv
 from lee_anticodes import oracle
-from lee_anticodes.anticodes import Anticode, family_size, hull
+from lee_anticodes.anticodes import Anticode, family, family_size, hull
 from lee_anticodes.codes import Code
 from lee_anticodes.dominance import compositions, dominance_leq
 from lee_anticodes.ring import ChainRingParams
@@ -104,8 +104,9 @@ def test_binomial_moment_single():
 
 
 def test_binomial_moment_aggregate():
-    assert inv.binomial_moment(example_code(), (1, 1, 1), 1) == 6
-    assert inv.binomial_moment(example_code(), (0, 0, 3), 0) == 1
+    moments = inv.build_invariant_table(example_code()).binomial_moments
+    assert moments[((1, 1, 1), 1)] == 6
+    assert moments[((0, 0, 3), 0)] == 1
 
 
 def test_weight_distribution_single():
@@ -153,69 +154,100 @@ def test_weight_distribution_single_matches_element_sets(case):
     assert inv.weight_distribution_single(code, anticode, j) == expected
 
 
-def test_rank_intersection_identity_edge_cases():
+def test_rank_intersection_identity_edge_cases(rank_intersection_identity):
     c = example_code()
     full = Anticode(Z9, (0, 0, 0))
     zero = Anticode(Z9, (2, 2, 2))
-    assert inv.rank_intersection_identity(c, full) == (2, 2)
-    assert inv.rank_intersection_identity(c, zero) == (0, 0)
-    assert inv.rank_intersection_identity(c, Anticode(Z9, (0, 1, 2))) == (1, 1)
+    assert rank_intersection_identity(c, full) == (2, 2)
+    assert rank_intersection_identity(c, zero) == (0, 0)
+    assert rank_intersection_identity(c, Anticode(Z9, (0, 1, 2))) == (1, 1)
 
 
-def test_rank_intersection_identity_known_gap():
+def test_rank_intersection_identity_known_gap(rank_intersection_identity):
     """The quoted closed form is not a theorem: this pair separates its sides.
 
     The sound variant rank(C cap A) = n - freerank(C-perp + A-perp) agrees
     with the left side here; the verification suite checks that form.
     """
     c = Code.from_rows(Z9, 2, [(1, 3)])
-    lhs, rhs = inv.rank_intersection_identity(c, Anticode(Z9, (0, 2)))
+    lhs, rhs = rank_intersection_identity(c, Anticode(Z9, (0, 2)))
     assert lhs == 1
     assert rhs == 0
 
 
 def test_r_weights_full_code():
     full = Code.full(Z9, 3)
-    assert inv.r_weight(full, 1) == (0, 1, 2)
-    assert inv.r_weight_free(full, 1) == (1, 0, 2)
-    assert inv.ghw(full, 1) == 1
-    assert [inv.ghw(full, r) for r in (1, 2, 3)] == [1, 2, 3]
+    assert inv.r_weight(full)[0] == (0, 1, 2)
+    assert inv.r_weight_free(full)[0] == (1, 0, 2)
+    assert inv.ghw(full) == (1, 2, 3)
 
 
-def test_r_weights_example():
+def test_r_weights_example(ghw_by_elements):
     c = Code.from_rows(Z9, 3, [(1, 0, 0), (0, 3, 0)])
-    assert inv.r_weight(c, 1) == (0, 1, 2)
-    assert inv.r_weight(c, 2) == (0, 2, 1)
-    assert inv.ghw(c, 1) == 1
-    assert inv.ghw(c, 2) == 2
-    assert inv.ghw_brute(c, 1) == 1
-    assert inv.ghw_brute(c, 2) == 2
-
-
-def test_r_weight_range_checks():
-    c = Code.from_rows(Z9, 3, [(1, 0, 0), (0, 3, 0)])
-    for bad in (0, 3, -1):
-        with pytest.raises(ValueError):
-            inv.r_weight(c, bad)
-        with pytest.raises(ValueError):
-            inv.r_weight_free(c, bad)
-        with pytest.raises(ValueError):
-            inv.r_weight_minimal_set(c, bad)
-        with pytest.raises(ValueError):
-            inv.ghw_brute(c, bad)
+    assert inv.r_weight(c) == ((0, 1, 2), (0, 2, 1))
+    assert inv.ghw(c) == (1, 2)
+    assert ghw_by_elements(c) == (1, 2)
 
 
 def test_r_weight_minimal_set_is_antichain():
     c = example_code()
-    for r in (1, 2):
-        minimal = inv.r_weight_minimal_set(c, r)
+    tiers = inv.r_weight_minimal_set(c)
+    assert len(tiers) == c.rank
+    for minimal, d_r in zip(tiers, inv.r_weight(c)):
         assert minimal
         for a in minimal:
             for b in minimal:
                 if a != b:
                     assert not dominance_leq(a, b)
-        d_r = inv.r_weight(c, r)
         assert any(dominance_leq(a, d_r) for a in minimal)
+
+
+# Every code of these spaces: (p, s, n) for (Z/9)^3, (Z/8)^2, F_2^4,
+# (Z/4)^3, (Z/9)^2 and (Z/25)^2.
+CENSUSES = [(3, 2, 3), (2, 3, 2), (2, 1, 4), (2, 2, 3), (3, 2, 2), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("p, s, n", CENSUSES)
+def test_minimal_sets_match_pairwise_dominance(p, s, n):
+    """Each tier is the set of dominance-minimal shapes whose family rank,
+    max rank(C cap A) over the family, reaches r."""
+    params = ChainRingParams(p, s)
+    comps = compositions(s + 1, n)
+    for code in oracle.enumerate_codes(n, params):
+        ranks = {
+            a: max(inv._intersection_cached(code, A).rank for A in family(a, params))
+            for a in comps
+        }
+        tiers = inv.r_weight_minimal_set(code)
+        assert len(tiers) == code.rank
+        for r, tier in enumerate(tiers, start=1):
+            valid = [a for a in comps if ranks[a] >= r]
+            minimal = tuple(
+                a for a in valid if not any(b != a and dominance_leq(b, a) for b in valid)
+            )
+            assert tier == minimal, (code.gen.rows, r)
+
+
+@pytest.mark.parametrize("p, s, n", CENSUSES)
+def test_r_weights_are_the_first_nonzero_moments(p, s, n):
+    """B(A, r) > 0 iff r <= rank(C cap A), so d_r is the first a in the
+    linear extension with B_a^(r) > 0, and the free d_r the first free shape."""
+    params = ChainRingParams(p, s)
+    comps = compositions(s + 1, n)
+    free = [(m,) + (0,) * (s - 1) + (n - m,) for m in range(n + 1)]
+    for code in oracle.enumerate_codes(n, params):
+        table = inv.build_invariant_table(code)
+        moments = table.binomial_moments
+        want = tuple(
+            next(a for a in comps if moments[(a, r)] > 0) for r in range(1, code.rank + 1)
+        )
+        want_free = tuple(
+            next(a for a in free if moments[(a, r)] > 0) for r in range(1, code.rank + 1)
+        )
+        assert inv.r_weight(code) == table.r_weights == want, code.gen.rows
+        assert inv.r_weight_free(code) == table.r_weights_free == want_free, code.gen.rows
+        assert inv.ghw(code) == table.ghw == tuple(a[0] for a in want_free)
+        assert table.minimal_valid == inv.r_weight_minimal_set(code)
 
 
 def test_build_invariant_table():

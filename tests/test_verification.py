@@ -36,6 +36,10 @@ def _off_by_one(fn):
     return lambda *args, **kwargs: fn(*args, **kwargs) + 1
 
 
+def _each_off_by_one(fn):
+    return lambda *args: tuple(x + 1 for x in fn(*args))
+
+
 def _mobius_skips_top_step(terms):
     return lambda exponents, s: terms(exponents, s - 1)
 
@@ -72,7 +76,9 @@ PLANTED = {
         inv, "count_inside", _off_by_one, "invariants",
         "pair counts match double enumeration",
     ),
-    "ghw": (inv, "ghw", _off_by_one, "invariants", "ghw matches brute support minima"),
+    "ghw": (
+        inv, "ghw", _each_off_by_one, "invariants", "ghw matches brute support minima",
+    ),
     "contains_vector": (
         Code, "contains_vector", _negated, "counting",
         "membership agrees with element sets",
