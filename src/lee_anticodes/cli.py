@@ -322,7 +322,9 @@ def cmd_invariants(args, cap: int | None) -> _Output:
             text="ghw = " + " ".join(str(g) for g in ghw_list) + "\n",
         )
 
-    # rweights: r_weight_minimal_set meets C with every anticode.
+    # rweights: the free walk alone gives the answer, but the action keeps
+    # the table's refusal of lengths with more than cap anticodes, so that
+    # the lengths it accepts do not change.
     guard_cap((params.s + 1) ** code.n, capv, "anticode count")
     minimal = inv.r_weight_minimal_set(code)
     r_weights = [tier[0] for tier in minimal]

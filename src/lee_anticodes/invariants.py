@@ -6,26 +6,34 @@ a = (a_0, ..., a_s) of n ordered by dominance; the fixed linear extension is
 lexicographic order on prefix sums (dominance.linear_key).
 
 The binomial moment B(A, j) of a code C counts the rank-j subcodes of
-C cap A, taken by matrices.restrict, by chain_bracket sums; the weight
-distribution W(A, j) counts those whose hull is exactly A, by Moebius
-inversion over the anticodes, a product of chains (Rota 1964). The
-aggregates B_a^(j) and W_a^(j) sum over family(a); grouping the B count by
-the hull gives
+C cap A by chain_bracket sums over its extended subtype. The table reads
+that subtype off sizes alone: C is enumerated once into a histogram of
+valuation vectors, whose suffix sums along each coordinate give
+|C cap A_e| for all (s+1)^n anticodes A_e together, and
+(C cap A_e)[p^i] = C cap A_max(e, s-i) gives the subtype. The weight
+distribution W(A, j) counts those subcodes whose hull is exactly A: it is
+the Moebius inversion of B over the anticodes, a product of chains (Rota
+1964), taken as one difference pass per coordinate. The aggregates
+B_a^(j) and W_a^(j) sum over family(a); grouping the B count by the hull
+gives
 
     B_a^(j) = sum over b dominated by a of W_b^(j) * count_containing(b, a)
 
 whose unitriangular inversion has the signed binomial coefficients of
 `inversion_coefficient`.
 
-The family rank of a, the largest rank(C cap A) over A in family(a), only
-grows along dominance. Every R-weight quantity is read off that one map,
-walked once per code for r = 1..rank(C) together: the minimal sets
-(shapes whose rank exceeds that of every shape they cover), the R-weights
-d_r (the first of each minimal set), and, on the chain of free shapes
-alone, the free R-weights and generalized Hamming weights (Wei 1991, in
-the anticode form of Ravagnani 2016). Each quantity is computed one way here;
-`verification.verify_invariants` checks it against the element-set census
-of submodules, the double enumeration of pairs and both identities.
+rank(C cap A) is the dimension of the socle C[p] cap A[p], and A[p] is
+p^(s-1)R on the n - a_s coordinates with e_t < s and 0 elsewhere. So the
+family rank of a, the largest rank(C cap A) over A in family(a), is the
+largest r with ghw_r <= n - a_s, and every R-weight quantity comes from
+the generalized Hamming weights (Wei 1991, in the anticode form of
+Ravagnani 2016): the minimal set for r is the one shape
+(0, ..., 0, ghw_r, n - ghw_r), which is also d_r. The weights themselves
+come from one walk over the free shapes (m, 0, ..., 0, n-m), a chain,
+meeting C with each anticode by matrices.restrict; it never enumerates C.
+Each quantity is computed one way here; `verification.verify_invariants`
+checks it against the element-set census of submodules, the double
+enumeration of pairs and both identities.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ from .dominance import (
     LINEAR_EXTENSION_NAME,
     check_pair,
     compositions,
-    covered_by,
     dominance_leq,
     prefix_sums,
 )
@@ -179,13 +186,94 @@ def _bracket_moments(ext, q: int, jmax: int) -> list[int]:
     return row
 
 
-def _mobius_terms(exponents: tuple[int, ...], s: int):
-    """(mu(A + 1_T, A), exponents of A + 1_T) for the sets T of coordinates
-    with e_t < s: the anticodes where the Moebius function is nonzero."""
-    steps = [(0, 1) if e < s else (0,) for e in exponents]
-    for delta in itertools.product(*steps):
-        sign = -1 if sum(delta) % 2 else 1
-        yield sign, tuple(e + d for e, d in zip(exponents, delta))
+# The anticode grid: one cell per exponent vector e in {0..s}^n, at the flat
+# index sum_t e_t (s+1)^(n-1-t), the lexicographic order of e.
+
+
+def _grid(n: int, s: int, step, start) -> list:
+    """step folded over the coordinates of each cell, from start, in grid order."""
+    cells = [start]
+    for _ in range(n):
+        cells = [step(x, d) for x in cells for d in range(s + 1)]
+    return cells
+
+
+def _chain_steps(n: int, s: int) -> list[tuple[int, int]]:
+    """(lo, hi) for each coordinate t, each run of cells sharing e_0..e_(t-1)
+    and each d < s, ascending: the cells [lo, hi) have e_t = d, and the
+    hi - lo cells from hi on are the same cells with e_t = d + 1."""
+    out = []
+    for t in range(n):
+        width = (s + 1) ** (n - 1 - t)
+        for base in range(0, (s + 1) ** n, width * (s + 1)):
+            out.extend((base + d * width, base + (d + 1) * width) for d in range(s))
+    return out
+
+
+def _suffix_sums(grid: list[int], n: int, s: int) -> list[int]:
+    """grid[e] becomes the sum of grid[e'] over e' >= e, one coordinate at a
+    time: with d descending, each cell adds its successor e + 1_t."""
+    for lo, hi in reversed(_chain_steps(n, s)):
+        grid[lo:hi] = [x + y for x, y in zip(grid[lo:hi], grid[hi : 2 * hi - lo])]
+    return grid
+
+
+def _differences(grid: list[int], n: int, s: int) -> list[int]:
+    """The inverse of _suffix_sums, Moebius inversion over the anticodes:
+    grid[e] becomes sum over T of (-1)^|T| grid[e + 1_T], the sets T of
+    coordinates with e_t < s. With d ascending, each cell subtracts its
+    successor before that is changed."""
+    for lo, hi in _chain_steps(n, s):
+        grid[lo:hi] = [x - y for x, y in zip(grid[lo:hi], grid[hi : 2 * hi - lo])]
+    return grid
+
+
+def _subtype_from_sizes(levels: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Extended subtype of a module M of R^n with g_i = log_p |M[p^i]| =
+    levels[i], i = 0..s: k_0 + ... + k_m = g_(s-m) - g_(s-m-1), and
+    k_s = n - rank."""
+    s = len(levels) - 1
+    totals = [levels[s - m] - levels[s - m - 1] for m in range(s)]
+    ext = (totals[0], *(y - x for x, y in zip(totals, totals[1:])), n - totals[-1])
+    if min(ext) < 0:
+        raise InternalCheckError(f"levels {levels} give no subtype: {ext}")
+    return ext
+
+
+def _meet_subtypes(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int, ...]]:
+    """The extended subtype of C cap A_e for every cell e, from one pass over C.
+
+    Each codeword goes into the cell of its valuation vector (v_p(0) = s);
+    suffix sums then give |C cap A_e|, and (C cap A_e)[p^i] is
+    C cap A_max(e, s-i), so its size is read at the clamped cell.
+    """
+    params, n = code.params, code.n
+    p, s = params.p, params.s
+    sizes = [0] * (s + 1) ** n
+    valuation: dict[int, int] = {}
+    for word in code.codewords(cap):
+        cell = 0
+        for x in word:
+            if x not in valuation:
+                valuation[x] = params.valuation(x)
+            cell = cell * (s + 1) + valuation[x]
+        sizes[cell] += 1
+    log_p = {p**k: k for k in range(s * n + 1)}
+    try:
+        logs = [log_p[size] for size in _suffix_sums(sizes, n, s)]
+    except KeyError as exc:
+        raise InternalCheckError(f"|C cap A| = {exc.args[0]} is no power of {p}") from None
+    clamped = [
+        _grid(n, s, lambda x, d, floor=s - i: x * (s + 1) + max(d, floor), 0)
+        for i in range(s + 1)
+    ]
+    by_levels: dict = {}
+    out = []
+    for levels in zip(*([logs[c] for c in cells] for cells in clamped)):
+        if levels not in by_levels:
+            by_levels[levels] = _subtype_from_sizes(levels, n)
+        out.append(by_levels[levels])
+    return out
 
 
 def binomial_moment_single(code: Code, anticode: ac.Anticode, j: int) -> int:
@@ -195,12 +283,17 @@ def binomial_moment_single(code: Code, anticode: ac.Anticode, j: int) -> int:
 
 
 def weight_distribution_single(code: Code, anticode: ac.Anticode, j: int) -> int:
-    """Number of rank-j subcodes of C cap A whose hull is exactly A:
-    sum over T of (-1)^|T| * binomial_moment_single(A + 1_T)."""
-    params = anticode.params
+    """Number of rank-j subcodes of C cap A whose hull is exactly A: the sum
+    over the sets T of coordinates with e_t < s, where the Moebius function
+    is nonzero, of (-1)^|T| * binomial_moment_single(A + 1_T)."""
+    params, exps = anticode.params, anticode.exponents
+    steps = [(0, 1) if e < params.s else (0,) for e in exps]
     return sum(
-        sign * binomial_moment_single(code, ac.Anticode(params, exps), j)
-        for sign, exps in _mobius_terms(anticode.exponents, params.s)
+        (-1) ** sum(delta)
+        * binomial_moment_single(
+            code, ac.Anticode(params, tuple(e + d for e, d in zip(exps, delta))), j
+        )
+        for delta in itertools.product(*steps)
     )
 
 
@@ -264,29 +357,23 @@ def _family_rank(code: Code, a) -> int:
 
 def r_weight_minimal_set(code: Code) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """For r = 1..rank(C), the dominance-minimal shapes whose family meets C
-    in rank >= r, in the linear extension.
+    in rank >= r.
 
-    One walk maps every shape to its family rank. The shapes reaching r form
-    an up-set, so a is minimal in it iff r exceeds the rank of every shape a
-    covers: a is minimal exactly for the r above that floor up to its rank.
+    The family rank of a is the largest r with ghw_r <= n - a_s, so the
+    shapes reaching r are those with a_s <= n - ghw_r, and the one minimal
+    among them is (0, ..., 0, ghw_r, n - ghw_r).
     """
-    ranks = {a: _family_rank(code, a) for a in compositions(code.params.s + 1, code.n)}
-    tiers: list[list] = [[] for _ in range(code.rank)]
-    for a, k in ranks.items():
-        floor = max((ranks[b] for b in covered_by(a)), default=0)
-        for r in range(floor + 1, min(k, code.rank) + 1):
-            tiers[r - 1].append(a)
-    for r, tier in enumerate(tiers, start=1):
-        if not tier:
-            raise InternalCheckError(
-                f"no composition admits rank {r}; code rank {code.rank}"
-            )
-    return tuple(tuple(tier) for tier in tiers)
+    return _minimal_shapes(r_weight_free(code), code.params.s, code.n)
+
+
+def _minimal_shapes(free, s: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The one-shape tiers (0, ..., 0, ghw_r, n - ghw_r) from the free R-weights."""
+    return tuple(((0,) * (s - 1) + (a[0], n - a[0]),) for a in free)
 
 
 def r_weight(code: Code) -> tuple[tuple[int, ...], ...]:
     """The R-weights d_1, ..., d_rank(C): d_r is the first a in the linear
-    extension whose family meets C in rank >= r, the first minimal shape."""
+    extension whose family meets C in rank >= r, the one minimal shape."""
     return tuple(tier[0] for tier in r_weight_minimal_set(code))
 
 
@@ -314,40 +401,32 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
     """Compute the full B/W tables and R-weight chains.
 
     Each anticode gets one B row, the bracket sums over the extended subtype
-    of C cap A, computed once per distinct subtype; each family sums the B
-    rows of its members and their Moebius inversions as vectors over j. The
-    work is one intersection per anticode; a code with more than cap words,
-    or a length with more than cap anticodes, is refused before it starts.
+    of C cap A (`_meet_subtypes`), computed once per distinct subtype. W is
+    the difference pass over the grid of B, one column j at a time, and one
+    pass keyed by the digit counts of e sums each family. The work is one
+    enumeration of C; a code with more than cap words, or a length with
+    more than cap anticodes, is refused before it starts.
     """
     guard_cap(code.size, cap, "submodule census base module")
     params, n = code.params, code.n
-    guard_cap((params.s + 1) ** n, cap, "anticode count")
-    jmax = code.rank
-    families = {a: ac.family(a, params) for a in compositions(params.s + 1, n)}
+    s, jmax = params.s, code.rank
+    guard_cap((s + 1) ** n, cap, "anticode count")
     rows_by_ext: dict = {}
-    b_rows = {}
-    for fam in families.values():
-        for A in fam:
-            ext = _intersection_cached(code, A).extended_subtype
-            if ext not in rows_by_ext:
-                rows_by_ext[ext] = _bracket_moments(ext, params.p, jmax)
-            b_rows[A.exponents] = rows_by_ext[ext]
-    moments: dict = {}
-    weights: dict = {}
-    for a, fam in families.items():
-        b_sum = [0] * (jmax + 1)
-        w_sum = [0] * (jmax + 1)
-        for A in fam:
-            for j, x in enumerate(b_rows[A.exponents]):
-                b_sum[j] += x
-            for sign, exps in _mobius_terms(A.exponents, params.s):
-                for j, x in enumerate(b_rows[exps]):
-                    w_sum[j] += sign * x
-        for j in range(jmax + 1):
-            moments[(a, j)] = b_sum[j]
-            weights[(a, j)] = w_sum[j]
-    minimal = r_weight_minimal_set(code)
+    b_cells = []
+    for ext in _meet_subtypes(code, cap):
+        if ext not in rows_by_ext:
+            rows_by_ext[ext] = _bracket_moments(ext, params.p, jmax)
+        b_cells.append(rows_by_ext[ext])
+    shapes = _grid(n, s, lambda a, d: a[:d] + (a[d] + 1,) + a[d + 1 :], (0,) * (s + 1))
+    keys = [(a, j) for a in compositions(s + 1, n) for j in range(jmax + 1)]
+    moments = dict.fromkeys(keys, 0)
+    weights = dict.fromkeys(keys, 0)
+    for j, column in enumerate(zip(*b_cells)):
+        for a, b, w in zip(shapes, column, _differences(list(column), n, s)):
+            moments[(a, j)] += b
+            weights[(a, j)] += w
     r_free = r_weight_free(code)
+    minimal = _minimal_shapes(r_free, s, n)
     return InvariantTable(
         params=params,
         n=n,

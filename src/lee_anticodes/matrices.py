@@ -18,10 +18,12 @@ generator (3,1): after a column swap its unit entry is the systematic
 pivot, diagonal (0,), free rank 1, subtype (1,0).
 
 A code met with an anticode, C cap prod_t <p^{e_t}>, takes one Howell form
-(`restrict`), from the coefficient vectors x with x H in the anticode.
-`module_intersect` meets two arbitrary modules by duality, through kernels,
-at about nine Howell forms; it is the reference the verification suites
-hold `restrict` to.
+(`restrict`), from the coefficient vectors x with x H in the anticode. The
+R-weight walk and the per-anticode counts of `invariants` use it; the
+invariant table reads the subtypes of all (s+1)^n intersections off one
+enumeration of C instead. `module_intersect` meets two arbitrary modules by
+duality, through kernels, at about nine Howell forms; it is the reference
+the tests hold `restrict` to.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -296,7 +297,11 @@ def test_invariants_refuses_oversized_code_before_census(capsys, monkeypatch, co
     def no_census(*args, **kwargs):
         raise AssertionError("submodule census started")
 
+    def no_codewords(*args, **kwargs):
+        raise AssertionError("codeword enumeration started")
+
     monkeypatch.setattr(matrices, "submodule_census", no_census)
+    monkeypatch.setattr(matrices, "enumerate_elements", no_codewords)
     for action in ("moments", "distribution"):
         status, out, err = run_cli(
             capsys, "invariants", code_file, action, "--cap", "8"
@@ -313,13 +318,40 @@ def test_invariants_refuses_too_many_anticodes(capsys, monkeypatch, tmp_path):
     def no_intersection(*args, **kwargs):
         raise AssertionError("module intersection started")
 
+    def no_codewords(*args, **kwargs):
+        raise AssertionError("codeword enumeration started")
+
     monkeypatch.setattr(matrices, "module_intersect", no_intersection)
     monkeypatch.setattr(matrices, "restrict", no_intersection)
+    monkeypatch.setattr(matrices, "enumerate_elements", no_codewords)
     monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
     for action in ("moments", "distribution", "rweights"):
         status, out, err = run_cli(capsys, "invariants", str(path), action)
         assert status == 2 and out == ""
         assert "anticode count: 531441 exceeds cap 2187" in err
+
+
+def test_r_weights_over_a_large_ring_take_no_enumeration(capsys, monkeypatch, tmp_path):
+    # |C| = 10007^2: the R-weights come from the free walk, never from C's words.
+    path = tmp_path / "big.txt"
+    path.write_text("10007 2 3\n1 2 3\n")
+
+    def no_codewords(*args, **kwargs):
+        raise AssertionError("codeword enumeration started")
+
+    monkeypatch.setattr(matrices, "enumerate_elements", no_codewords)
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    expected = {
+        "ghw": "ghw = 3\n",
+        "rweights": "r=1 d=(0,3,0) d_free=(3,0,0) ghw=3\n",
+    }
+    for action, text in expected.items():
+        start = time.perf_counter()
+        status, out, err = run_cli(
+            capsys, "invariants", str(path), action, "--format", "text"
+        )
+        assert (status, out, err) == (0, text, "")
+        assert time.perf_counter() - start < 5
 
 
 def test_code_dual_over_large_prime_finishes(tmp_path):

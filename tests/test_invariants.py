@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lee_anticodes import invariants as inv
-from lee_anticodes import oracle
+from lee_anticodes import matrices, oracle
 from lee_anticodes.anticodes import Anticode, family, family_size, hull
 from lee_anticodes.codes import Code
 from lee_anticodes.dominance import compositions, dominance_leq
@@ -205,6 +206,21 @@ def test_r_weight_minimal_set_is_antichain():
 # Every code of these spaces: (p, s, n) for (Z/9)^3, (Z/8)^2, F_2^4,
 # (Z/4)^3, (Z/9)^2 and (Z/25)^2.
 CENSUSES = [(3, 2, 3), (2, 3, 2), (2, 1, 4), (2, 2, 3), (3, 2, 2), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("p, s, n", CENSUSES)
+def test_grid_subtypes_match_restriction(p, s, n):
+    """The subtype the table reads off |C cap A_e| alone is that of the
+    restriction, for every code and every anticode."""
+    params = ChainRingParams(p, s)
+    cells = list(itertools.product(range(s + 1), repeat=n))
+    for code in oracle.enumerate_codes(n, params):
+        grid = inv._meet_subtypes(code)
+        assert len(grid) == len(cells)
+        for e, ext in zip(cells, grid):
+            assert ext == Code(matrices.restrict(code.gen, e)).extended_subtype, (
+                code.gen.rows, e,
+            )
 
 
 @pytest.mark.parametrize("p, s, n", CENSUSES)

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lee_anticodes import invariants as inv
 from lee_anticodes import matrices as mx
 from lee_anticodes.anticodes import Anticode
 from lee_anticodes.codes import Code
@@ -248,11 +250,18 @@ def codes_and_exponents(draw):
 @example((ModMatrix.full(Z9, 3), (0, 0, 0)))
 @example((ModMatrix.full(Z9, 3), (2, 2, 2)))
 def test_restrict_matches_module_intersect(case):
+    """restrict agrees with the duality route and, on codes the invariant
+    table admits, with the subtype the table reads off the valuation grid."""
     mat, exponents = case
-    H = Code(mat).gen
+    code = Code(mat)
     anticode = Anticode(mat.params, exponents).module()
-    want = Code(mx.module_intersect(H, anticode)).gen
-    assert Code(mx.restrict(H, exponents)).gen == want
+    want = Code(mx.module_intersect(code.gen, anticode)).gen
+    assert Code(mx.restrict(code.gen, exponents)).gen == want
+    if code.size <= inv.DEFAULT_CENSUS_CAP:
+        s, n = mat.params.s, mat.n
+        cells = list(itertools.product(range(s + 1), repeat=n))
+        grid = inv._meet_subtypes(code)
+        assert grid[cells.index(exponents)] == Code(want).extended_subtype
 
 
 def test_restrict_examples():

@@ -40,8 +40,17 @@ def _each_off_by_one(fn):
     return lambda *args: tuple(x + 1 for x in fn(*args))
 
 
-def _mobius_skips_top_step(terms):
-    return lambda exponents, s: terms(exponents, s - 1)
+def _from_the_wrong_end(grid_pass):
+    """Runs the pass on the reversed grid, so each chain is walked from e_t = s."""
+    return lambda grid, n, s: grid_pass(grid[::-1], n, s)[::-1]
+
+
+def _swaps_first_two_parts(subtype):
+    def planted(levels, n):
+        ext = subtype(levels, n)
+        return (ext[1], ext[0]) + ext[2:]
+
+    return planted
 
 
 def _optimal_off_by_one(_is_optimal):
@@ -66,7 +75,11 @@ TABLES = "invariant tables satisfy both identities"
 # the suite that keeps the second route, the check that must catch it).
 PLANTED = {
     "chain_bracket": (inv, "chain_bracket", _off_by_one, "invariants", TABLES),
-    "mobius": (inv, "_mobius_terms", _mobius_skips_top_step, "invariants", TABLES),
+    "suffix_sums": (inv, "_suffix_sums", _from_the_wrong_end, "invariants", TABLES),
+    "subtype_from_sizes": (
+        inv, "_subtype_from_sizes", _swaps_first_two_parts, "invariants", TABLES,
+    ),
+    "differences": (inv, "_differences", _from_the_wrong_end, "invariants", TABLES),
     "restrict": (mx, "restrict", _drops_last_generator, "invariants", TABLES),
     "count_containing": (inv, "count_containing", _off_by_one, "invariants", TABLES),
     "inversion_coefficient": (
