@@ -314,6 +314,9 @@ def cmd_invariants(args, cap: int | None) -> _Output:
     shape = {"p": params.p, "s": params.s, "n": code.n, "rank": code.rank}
 
     if args.action == "ghw":
+        # The free walk meets C with up to 2^n anticodes, one free family
+        # (m, 0, ..., 0, n - m) for each m.
+        guard_cap(2**code.n, capv, "free anticode count")
         ghw_list = list(inv.ghw(code))
         return _Output(
             {**shape, "ghw": ghw_list},
@@ -326,9 +329,9 @@ def cmd_invariants(args, cap: int | None) -> _Output:
     # the table's refusal of lengths with more than cap anticodes, so that
     # the lengths it accepts do not change.
     guard_cap((params.s + 1) ** code.n, capv, "anticode count")
-    minimal = inv.r_weight_minimal_set(code)
-    r_weights = [tier[0] for tier in minimal]
     r_free = inv.r_weight_free(code)
+    minimal = inv._minimal_shapes(r_free, params.s, code.n)
+    r_weights = [tier[0] for tier in minimal]
     ghw_list = [a[0] for a in r_free]
     record = {
         **shape,

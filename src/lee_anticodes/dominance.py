@@ -10,7 +10,8 @@ joins and meets are the componentwise max and min of prefix sums.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, combinations
+import operator
+from itertools import accumulate, chain, combinations
 
 from .errors import guard_cap
 
@@ -41,7 +42,7 @@ def prefix_sums(a) -> tuple[int, ...]:
 
 
 def from_prefix_sums(ah) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(ah, (0,) + tuple(ah)))
+    return tuple(map(operator.sub, ah, chain((0,), ah)))
 
 
 def compositions(parts: int, total: int) -> list[tuple[int, ...]]:
@@ -65,17 +66,17 @@ def composition_count(parts: int, total: int) -> int:
 
 def dominance_leq(a, b) -> bool:
     a, b = check_pair(a, b)
-    return all(x <= y for x, y in zip(prefix_sums(a), prefix_sums(b)))
+    return all(map(operator.le, accumulate(a), accumulate(b)))
 
 
 def join(a, b) -> tuple[int, ...]:
     a, b = check_pair(a, b)
-    return from_prefix_sums(tuple(max(x, y) for x, y in zip(prefix_sums(a), prefix_sums(b))))
+    return from_prefix_sums(tuple(map(max, accumulate(a), accumulate(b))))
 
 
 def meet(a, b) -> tuple[int, ...]:
     a, b = check_pair(a, b)
-    return from_prefix_sums(tuple(min(x, y) for x, y in zip(prefix_sums(a), prefix_sums(b))))
+    return from_prefix_sums(tuple(map(min, accumulate(a), accumulate(b))))
 
 
 def top(parts: int, total: int) -> tuple[int, ...]:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,9 +50,9 @@ from . import matrices
 from .codes import Code
 from .dominance import (
     LINEAR_EXTENSION_NAME,
+    check_composition,
     check_pair,
     compositions,
-    dominance_leq,
     prefix_sums,
 )
 from .errors import InternalCheckError, guard_cap
@@ -74,6 +75,11 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return gaussian_binomial(n - 1, k - 1, q) + q**k * gaussian_binomial(n - 1, k, q)
 
 
+def _below(bh, ah) -> bool:
+    """b <= a in dominance, read off prefix sums of already validated compositions."""
+    return all(map(operator.le, bh, ah))
+
+
 def chain_bracket(a, b, q: int) -> int:
     """Number of submodules of extended subtype b inside one of extended subtype a.
 
@@ -85,10 +91,10 @@ def chain_bracket(a, b, q: int) -> int:
         * prod_{i<s} gaussian(a_hat_i - b_hat_{i-1}, b_i, q).
     """
     a, b = check_pair(a, b)
-    if not dominance_leq(b, a):
+    ah, bh = prefix_sums(a), prefix_sums(b)
+    if not _below(bh, ah):
         return 0
     s = len(a) - 1
-    ah, bh = prefix_sums(a), prefix_sums(b)
     exponent = 0
     product = 1
     for i in range(s):
@@ -105,9 +111,9 @@ def count_containing(b, a) -> int:
     prod_t C(a_hat_t - b_hat_{t-1}, a_t); zero unless b is dominated by a.
     """
     a, b = check_pair(a, b)
-    if not dominance_leq(b, a):
-        return 0
     ah, bh = prefix_sums(a), prefix_sums(b)
+    if not _below(bh, ah):
+        return 0
     out = 1
     for t, at in enumerate(a):
         prev = bh[t - 1] if t else 0
@@ -118,9 +124,9 @@ def count_containing(b, a) -> int:
 def count_inside(a, b) -> int:
     """Number of anticodes in family(b) contained in a fixed member of family(a)."""
     a, b = check_pair(a, b)
-    if not dominance_leq(b, a):
-        return 0
     ah, bh = prefix_sums(a), prefix_sums(b)
+    if not _below(bh, ah):
+        return 0
     out = 1
     for t, bt in enumerate(b):
         prev = bh[t - 1] if t else 0
@@ -322,10 +328,11 @@ class InvariantTable:
 def _dominated_sum(entries: dict, rank: int, a, coefficient, label: str) -> list[int]:
     """Row over j = 0..rank of sum over b dominated by a of entries[(b, j)] *
     coefficient(b, a), enumerating the b and their coefficients once."""
-    a = tuple(a)
+    a = check_composition(a)
+    ah = prefix_sums(a)
     row = [0] * (rank + 1)
     for b in compositions(len(a), sum(a)):
-        if dominance_leq(b, a):
+        if _below(prefix_sums(b), ah):
             coeff = coefficient(b, a)
             for j in range(rank + 1):
                 if (b, j) not in entries:

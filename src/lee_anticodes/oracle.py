@@ -5,13 +5,16 @@ an independent check of the closed forms and canonical algorithms: modules
 are manipulated as explicit element sets, subtypes are read off the sizes
 of the multiplication-by-p filtration, posets are handled by definition.
 The only machinery shared with the main modules is ring arithmetic and the
-Howell canonicalization used for digests, and the latter is cross-checked
-against raw element sets every time a census is built.
+Howell canonicalization used for digests. A census takes each module's
+digest from the few extension elements that built it, not from all its
+elements, and checks that the digest spans exactly the module's element
+set every time a census is built.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, product
 
@@ -96,23 +99,25 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
     present, so the breadth-first closure reaches all of them. Distinct
     extension elements yielding one child differ by a child element, so
     pruning each new child's elements from the candidate list visits every
-    (module, child) edge exactly once. Deduplication is by raw element set;
-    Howell digests are attached afterwards and verified against the sets.
+    (module, child) edge exactly once. Deduplication is by raw element set.
+    Each module keeps the extension elements that built it, at most one per
+    composition step; its Howell digest is taken from those few rows and
+    verified against the element set.
     """
     params, n = mat.params, mat.n
     p, m = params.p, params.modulus
     parent = span_elements(params, n, mat.rows)
     guard_cap(len(parent), cap, "submodule census")
     universe = sorted(parent)
+    times_p = [tuple((p * t) % m for t in x) for x in universe]
     zero = frozenset({(0,) * n})
-    found = {zero}
+    # element set -> the extension elements that built it, which span it
+    found = {zero: ()}
     todo = [zero]
     while todo:
         base = todo.pop()
         queue = [
-            x
-            for x in universe
-            if x not in base and tuple((p * t) % m for t in x) in base
+            x for x, px in zip(universe, times_p) if px in base and x not in base
         ]
         while queue:
             x = queue[0]
@@ -123,12 +128,12 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
                 shift = tuple((a + b) % m for a, b in zip(shift, x))
             child = frozenset(child)
             if child not in found:
-                found.add(child)
+                found[child] = found[base] + (x,)
                 todo.append(child)
             queue = [y for y in queue if y not in child]
     entries = []
-    for elems in found:
-        digest = howell_form(ModMatrix(params, n, tuple(sorted(elems))))
+    for elems, gens in found.items():
+        digest = howell_form(ModMatrix(params, n, gens))
         if span_elements(params, n, digest.rows) != elems:
             raise InternalCheckError(
                 f"howell form of a census module spans a different set: {digest.rows}"
@@ -150,9 +155,10 @@ def _brute_compositions(parts: int, total: int):
 class PosetOracle:
     """The dominance order handled entirely by definition.
 
-    Order is decided by comparing prefix sums; joins and meets scan all
-    bounds; covers test interval emptiness; the Moebius function uses the
-    recursive sum over half-open intervals; maximal chains walk covers.
+    Order is decided by comparing prefix sums, each element's computed once;
+    joins and meets scan all bounds; covers test interval emptiness, once
+    per element; the Moebius function uses the recursive sum over half-open
+    intervals; maximal chains walk covers.
     """
 
     def __init__(self, parts: int, total: int, cap: int = DEFAULT_POSET_CAP):
@@ -161,14 +167,18 @@ class PosetOracle:
         guard_cap(math.comb(total + parts - 1, parts - 1), cap, "poset oracle")
         self.parts = parts
         self.total = total
-        self.elements = tuple(
-            sorted(_brute_compositions(parts, total), key=lambda a: tuple(accumulate(a)))
-        )
+        self._sums = {a: tuple(accumulate(a)) for a in _brute_compositions(parts, total)}
+        self.elements = tuple(sorted(self._sums, key=self._sums.__getitem__))
+        self._covers_memo: dict = {}
         self._mobius_memo: dict = {}
 
+    def _prefix_sums(self, a) -> tuple:
+        a = tuple(a)
+        sums = self._sums.get(a)
+        return tuple(accumulate(a)) if sums is None else sums
+
     def leq(self, a, b) -> bool:
-        a, b = tuple(a), tuple(b)
-        return all(x <= y for x, y in zip(accumulate(a), accumulate(b)))
+        return all(map(operator.le, self._prefix_sums(a), self._prefix_sums(b)))
 
     def join(self, a, b):
         ubs = [c for c in self.elements if self.leq(a, c) and self.leq(b, c)]
@@ -186,16 +196,13 @@ class PosetOracle:
 
     def covers(self, a) -> tuple:
         a = tuple(a)
-        out = []
-        for b in self.elements:
-            if b != a and self.leq(a, b):
-                strictly_between = any(
-                    c != a and c != b and self.leq(a, c) and self.leq(c, b)
-                    for c in self.elements
-                )
-                if not strictly_between:
-                    out.append(b)
-        return tuple(out)
+        if a not in self._covers_memo:
+            above = [b for b in self.elements if b != a and self.leq(a, b)]
+            # b covers a when no other element above a lies below b
+            self._covers_memo[a] = tuple(
+                b for b in above if not any(c != b and self.leq(c, b) for c in above)
+            )
+        return self._covers_memo[a]
 
     def mobius(self, a, b) -> int:
         a, b = tuple(a), tuple(b)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from . import anticodes as ac
 from . import dominance as comp
@@ -123,11 +124,13 @@ def verify_lattice(
         return None
 
     def check_distributivity():
+        # join and meet are pure, so each pair is computed once
+        join, meet = cache(comp.join), cache(comp.meet)
         for a in elems:
             for b in elems:
                 for c in elems:
-                    lhs = comp.meet(a, comp.join(b, c))
-                    rhs = comp.join(comp.meet(a, b), comp.meet(a, c))
+                    lhs = meet(a, join(b, c))
+                    rhs = join(meet(a, b), meet(a, c))
                     if lhs != rhs:
                         return f"distributivity fails at {a}, {b}, {c}"
         return None
@@ -435,13 +438,12 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
         # Cperp + Aperp. The often-quoted variant K - a_s + freerk(Cperp cap
         # Aperp) is false in general (free rank is not modular); acceptance
         # criterion 13 keeps its refutation on record.
+        dual_anticodes = [ac.dual_anticode(A).module() for A in all_anticodes]
         for c in codes:
-            dual = c.dual()
-            for A in all_anticodes:
+            dual = matrices.kernel(c.gen)
+            for A, dual_a in zip(all_anticodes, dual_anticodes):
                 lhs = inv._intersection_cached(c, A).rank
-                rhs = n - Code(
-                    matrices.module_sum(dual.gen, ac.dual_anticode(A).module())
-                ).free_rank
+                rhs = n - matrices.free_rank(matrices.module_sum(dual, dual_a))
                 if lhs != rhs:
                     return (
                         f"rank duality fails for {c.gen.rows}, {A.exponents}: "

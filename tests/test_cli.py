@@ -331,6 +331,36 @@ def test_invariants_refuses_too_many_anticodes(capsys, monkeypatch, tmp_path):
         assert "anticode count: 531441 exceeds cap 2187" in err
 
 
+def test_ghw_refuses_a_long_free_walk_before_any_intersection(
+    capsys, monkeypatch, tmp_path
+):
+    # The free walk of a length-20 code would meet C with up to 2^20 anticodes.
+    path = tmp_path / "long.txt"
+    path.write_text("3 1 20\n" + " ".join(["1"] * 20) + "\n")
+
+    def no_intersection(*args, **kwargs):
+        raise AssertionError("module intersection started")
+
+    monkeypatch.setattr(matrices, "restrict", no_intersection)
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "invariants", str(path), "ghw")
+    assert status == 2 and out == ""
+    assert "free anticode count: 1048576 exceeds cap 2187" in err
+    assert time.perf_counter() - start < 5
+
+
+def test_ghw_keeps_lengths_up_to_eleven(capsys, monkeypatch, tmp_path):
+    # 2^11 = 2048 free anticodes stay within the default cap of 3^7.
+    path = tmp_path / "eleven.txt"
+    path.write_text("3 1 11\n" + " ".join(["1"] * 11) + "\n")
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    status, out, err = run_cli(
+        capsys, "invariants", str(path), "ghw", "--format", "text"
+    )
+    assert (status, out, err) == (0, "ghw = 11\n", "")
+
+
 def test_r_weights_over_a_large_ring_take_no_enumeration(capsys, monkeypatch, tmp_path):
     # |C| = 10007^2: the R-weights come from the free walk, never from C's words.
     path = tmp_path / "big.txt"

@@ -1,8 +1,10 @@
+from itertools import accumulate
+
 import pytest
 
 from lee_anticodes import matrices as mx
 from lee_anticodes import oracle
-from lee_anticodes.errors import CapExceeded
+from lee_anticodes.errors import CapExceeded, InternalCheckError
 from lee_anticodes.matrices import ModMatrix
 from lee_anticodes.ring import ChainRingParams
 
@@ -49,6 +51,32 @@ def test_census_entries_are_consistent():
     assert len({entry.elements for entry in census.entries}) == len(census)
 
 
+# (p, s, n): (Z/9)^2, (Z/8)^2, F_2^4, (Z/4)^3, (Z/25)^2, F_5^3.
+DIGEST_CENSUSES = [(3, 2, 2), (2, 3, 2), (2, 1, 4), (2, 2, 3), (5, 2, 2), (5, 1, 3)]
+
+
+@pytest.mark.parametrize("p, s, n", DIGEST_CENSUSES)
+def test_census_digests_match_the_element_set_howell_form(p, s, n):
+    # Each digest comes from the few extension elements that built the
+    # module; it must be the Howell form of the whole element set.
+    params = ChainRingParams(p, s)
+    census = oracle.enumerate_submodules(ModMatrix.full(params, n))
+    for entry in census.entries:
+        assert entry.mat == mx.howell_form(
+            ModMatrix(params, n, tuple(sorted(entry.elements)))
+        )
+
+
+def test_census_rejects_a_digest_that_spans_too_little(monkeypatch):
+    def drops_last_row(mat):
+        form = mx.howell_form(mat)
+        return ModMatrix(form.params, form.n, form.rows[:-1])
+
+    monkeypatch.setattr(oracle, "howell_form", drops_last_row)
+    with pytest.raises(InternalCheckError):
+        oracle.enumerate_submodules(ModMatrix.full(Z9, 2))
+
+
 def test_enumerate_submodules_cap():
     with pytest.raises(CapExceeded):
         oracle.enumerate_submodules(ModMatrix.full(Z9, 2), cap=10)
@@ -67,6 +95,38 @@ def test_poset_oracle_basics():
     assert po.mobius((1, 1, 1), (2, 0, 1)) == -1
     assert po.mobius((1, 1, 1), (2, 1, 0)) == 1
     assert po.mobius((0, 0, 3), (3, 0, 0)) == 0
+
+
+def _leq_by_definition(a, b):
+    return all(x <= y for x, y in zip(accumulate(a), accumulate(b)))
+
+
+def _covers_by_definition(elements, a):
+    a = tuple(a)
+    return {
+        b
+        for b in elements
+        if b != a
+        and _leq_by_definition(a, b)
+        and not any(
+            c not in (a, b) and _leq_by_definition(a, c) and _leq_by_definition(c, b)
+            for c in elements
+        )
+    }
+
+
+def test_poset_oracle_answers_inputs_by_definition():
+    po = oracle.poset_oracle(3, 3)
+    # lists, and tuples that are no element of the lattice
+    outside = [(0, 0, 2), (1, 1, 2), (0, 4, 0), (3, 0, 0, 0), (0, 0, 1)]
+    inputs = [list(a) for a in po.elements] + outside + list(po.elements)
+    for a in inputs:
+        for b in inputs:
+            assert po.leq(a, b) == _leq_by_definition(a, b), (a, b)
+        assert set(po.covers(a)) == _covers_by_definition(po.elements, a), a
+    assert po.leq([0, 1, 2], (1, 1, 1)) and not po.leq((1, 1, 1), [0, 1, 2])
+    assert po.covers((0, 0, 2)) == ((0, 0, 3),)
+    assert po.covers([1, 1, 1]) == po.covers((1, 1, 1))
 
 
 def test_poset_oracle_chains():

@@ -92,6 +92,10 @@ PLANTED = {
     "ghw": (
         inv, "ghw", _each_off_by_one, "invariants", "ghw matches brute support minima",
     ),
+    "free_rank": (
+        mx, "free_rank", _off_by_one, "invariants",
+        "intersection rank matches dual-sum free rank",
+    ),
     "contains_vector": (
         Code, "contains_vector", _negated, "counting",
         "membership agrees with element sets",
