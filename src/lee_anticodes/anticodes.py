@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import matrices
-from .codes import Code
+from .codes import Code, column_valuations
 from .errors import guard_cap
 from .matrices import DEFAULT_ENUM_CAP, ModMatrix
 from .ring import ChainRingParams
@@ -165,18 +165,9 @@ def dual_anticode(a: Anticode) -> Anticode:
 
 
 def hull(code: Code) -> Anticode:
-    """The unique smallest anticode containing the code.
-
-    Coordinate j gets the minimum valuation over the generators there, s for
-    an all-zero column, since the projection of the code onto coordinate j
-    is exactly the ideal generated by the column entries.
-    """
-    params = code.params
-    exps = tuple(
-        min((params.valuation(row[j]) for row in code.gen.rows), default=params.s)
-        for j in range(code.n)
-    )
-    return Anticode(params, exps)
+    """The unique smallest anticode containing the code: coordinate j gets
+    the ideal the code projects onto there (`codes.column_valuations`)."""
+    return Anticode(code.params, column_valuations(code.gen))
 
 
 def hamming_bound(rank: int) -> int:

@@ -221,13 +221,7 @@ def cmd_lattice(args, cap: int | None) -> _Output:
 
     # chains
     length = comp.maximal_chain_length(parts, total)
-    count = 0
-    for chain in comp.maximal_chains(parts, total, capv):
-        if len(chain) - 1 != length:
-            raise InternalCheckError(
-                f"maximal chain of length {len(chain) - 1}, expected {length}"
-            )
-        count += 1
+    count = comp.maximal_chain_count(parts, total)
     return _Output(
         {**shape, "count": count, "length": length},
         header="count;length",
@@ -329,22 +323,13 @@ def cmd_invariants(args, cap: int | None) -> _Output:
     # the table's refusal of lengths with more than cap anticodes, so that
     # the lengths it accepts do not change.
     guard_cap((params.s + 1) ** code.n, capv, "anticode count")
-    r_free = inv.r_weight_free(code)
-    minimal = inv._minimal_shapes(r_free, params.s, code.n)
-    r_weights = [tier[0] for tier in minimal]
-    ghw_list = [a[0] for a in r_free]
-    record = {
-        **shape,
-        "linear_extension": comp.LINEAR_EXTENSION_NAME,
-        "r_weights": [list(a) for a in r_weights],
-        "r_weights_free": [list(a) for a in r_free],
-        "ghw": ghw_list,
-        "minimal_valid": [[list(a) for a in tier] for tier in minimal],
-    }
+    fields = inv.r_weight_fields(code)
     return _Output(
-        record,
+        {**shape, "linear_extension": comp.LINEAR_EXTENSION_NAME, **fields},
         header="r;d_r;d_r_free;ghw",
-        rows=list(zip(ranks, r_weights, r_free, ghw_list)),
+        rows=list(
+            zip(ranks, fields["r_weights"], fields["r_weights_free"], fields["ghw"])
+        ),
         line="r={0} d=({1}) d_free=({2}) ghw={3}",
     )
 

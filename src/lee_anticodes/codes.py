@@ -102,12 +102,21 @@ class Code:
         return min(weights)
 
 
+def column_valuations(gen: ModMatrix) -> tuple[int, ...]:
+    """Per coordinate j, the least valuation over the generators there, s for
+    an all-zero column: the projection of the span onto coordinate j is the
+    ideal generated by the column entries, <p^v_j>."""
+    params = gen.params
+    return tuple(
+        min((params.valuation(row[j]) for row in gen.rows), default=params.s)
+        for j in range(gen.n)
+    )
+
+
 def _support_subtype(gen: ModMatrix) -> tuple[int, ...]:
     """(n_0, ..., n_s): n_i = #columns whose projection generates <p^i>."""
-    params = gen.params
-    counts = [0] * (params.s + 1)
-    for j in range(gen.n):
-        v = min((params.valuation(row[j]) for row in gen.rows), default=params.s)
+    counts = [0] * (gen.params.s + 1)
+    for v in column_valuations(gen):
         counts[v] += 1
     return tuple(counts)
 

@@ -191,6 +191,15 @@ def maximal_chain_length(parts: int, total: int) -> int:
     return (parts - 1) * total
 
 
+def maximal_chain_count(parts: int, total: int) -> int:
+    """Number of maximal chains, by the hook-length formula (Frame, Robinson
+    and Thrall 1954): a_hat_1, ..., a_hat_(parts-1) are the row lengths, read
+    backwards, of a Young diagram inside the (parts - 1) x total rectangle, a
+    cover adds one box, so the chains are the standard tableaux of it."""
+    hooks = math.prod(i + j + 1 for i in range(parts - 1) for j in range(total))
+    return math.factorial(maximal_chain_length(parts, total)) // hooks
+
+
 def maximal_chains(parts: int, total: int, cap: int = DEFAULT_LATTICE_CAP):
     """Yield every maximal chain, bottom to top, as a tuple of compositions."""
     guard_cap(composition_count(parts, total), cap, "lattice size")

@@ -370,18 +370,13 @@ def r_weight_minimal_set(code: Code) -> tuple[tuple[tuple[int, ...], ...], ...]:
     shapes reaching r are those with a_s <= n - ghw_r, and the one minimal
     among them is (0, ..., 0, ghw_r, n - ghw_r).
     """
-    return _minimal_shapes(r_weight_free(code), code.params.s, code.n)
-
-
-def _minimal_shapes(free, s: int, n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The one-shape tiers (0, ..., 0, ghw_r, n - ghw_r) from the free R-weights."""
-    return tuple(((0,) * (s - 1) + (a[0], n - a[0]),) for a in free)
+    return r_weight_fields(code)["minimal_valid"]
 
 
 def r_weight(code: Code) -> tuple[tuple[int, ...], ...]:
     """The R-weights d_1, ..., d_rank(C): d_r is the first a in the linear
     extension whose family meets C in rank >= r, the one minimal shape."""
-    return tuple(tier[0] for tier in r_weight_minimal_set(code))
+    return r_weight_fields(code)["r_weights"]
 
 
 def r_weight_free(code: Code) -> tuple[tuple[int, ...], ...]:
@@ -401,7 +396,21 @@ def r_weight_free(code: Code) -> tuple[tuple[int, ...], ...]:
 
 def ghw(code: Code) -> tuple[int, ...]:
     """The generalized Hamming weights: the m of each free R-weight shape."""
-    return tuple(a[0] for a in r_weight_free(code))
+    return r_weight_fields(code)["ghw"]
+
+
+def r_weight_fields(code: Code) -> dict:
+    """The R-weight fields of `InvariantTable`, in its order, from one free
+    walk: r_weights, r_weights_free, ghw and minimal_valid."""
+    s, n = code.params.s, code.n
+    r_free = r_weight_free(code)
+    minimal = tuple(((0,) * (s - 1) + (a[0], n - a[0]),) for a in r_free)
+    return {
+        "r_weights": tuple(tier[0] for tier in minimal),
+        "r_weights_free": r_free,
+        "ghw": tuple(a[0] for a in r_free),
+        "minimal_valid": minimal,
+    }
 
 
 def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> InvariantTable:
@@ -414,7 +423,7 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
     enumeration of C; a code with more than cap words, or a length with
     more than cap anticodes, is refused before it starts.
     """
-    guard_cap(code.size, cap, "submodule census base module")
+    guard_cap(code.size, cap, "codeword enumeration")
     params, n = code.params, code.n
     s, jmax = params.s, code.rank
     guard_cap((s + 1) ** n, cap, "anticode count")
@@ -432,8 +441,6 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
         for a, b, w in zip(shapes, column, _differences(list(column), n, s)):
             moments[(a, j)] += b
             weights[(a, j)] += w
-    r_free = r_weight_free(code)
-    minimal = _minimal_shapes(r_free, s, n)
     return InvariantTable(
         params=params,
         n=n,
@@ -442,10 +449,7 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
         linear_extension=LINEAR_EXTENSION_NAME,
         binomial_moments=moments,
         weight_distributions=weights,
-        r_weights=tuple(tier[0] for tier in minimal),
-        r_weights_free=r_free,
-        ghw=tuple(a[0] for a in r_free),
-        minimal_valid=minimal,
+        **r_weight_fields(code),
     )
 
 

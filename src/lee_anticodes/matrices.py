@@ -5,7 +5,9 @@ ring: pivots are exact powers of p, entries above a pivot are reduced modulo
 that pivot, and the span is Howell-closed, meaning every span element whose
 leading coordinates vanish lies in the span of the trailing rows. Two row
 sets span the same module iff their Howell forms are identical, which makes
-module equality, deduplication, and counting reliable.
+module equality, deduplication, and counting reliable. A row with pivot p^v
+has additive order p^s / p^v (`_pivot_orders`, read by `span_size` and
+`enumerate_elements`), and membership reduction divides by the pivot.
 
 The systematic form is a second normal form, reached by full pivoting on a
 globally minimal valuation entry at each step. Its diagonal consists of
@@ -17,17 +19,20 @@ non-unit pivots, yet the module is free of rank 1 with the single
 generator (3,1): after a column swap its unit entry is the systematic
 pivot, diagonal (0,), free rank 1, subtype (1,0).
 
-A code met with an anticode, C cap prod_t <p^{e_t}>, takes one Howell form
-(`restrict`), from the coefficient vectors x with x H in the anticode. The
-R-weight walk and the per-anticode counts of `invariants` use it; the
-invariant table reads the subtypes of all (s+1)^n intersections off one
-enumeration of C instead. `module_intersect` meets two arbitrary modules by
-duality, through kernels, at about nine Howell forms; it is the reference
-the tests hold `restrict` to.
+`kernel` and `restrict` both take a left null space {x : x L = 0} from one
+Howell form of [L | I] (`_left_null_space`). The kernel has L = H^T. A code
+met with an anticode, C cap prod_t <p^{e_t}>, has L = H diag(p^{s-e_t}): the
+x are the coefficient vectors with x H in the anticode. The R-weight walk
+and the per-anticode counts of `invariants` use `restrict`; the invariant
+table reads the subtypes of all (s+1)^n intersections off one enumeration
+of C instead. `module_intersect` meets two arbitrary modules by duality,
+through kernels, at about nine Howell forms; it is the reference the tests
+hold `restrict` to.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import guard_cap
@@ -130,9 +135,8 @@ def howell_form(mat: ModMatrix) -> ModMatrix:
             if held is None:
                 install(row, j, v)
                 break
-            vb = params.valuation(held[j])
-            if vb <= v:
-                q = row[j] // p**vb
+            if row[j] % held[j] == 0:
+                q = row[j] // held[j]
                 row = [(x - q * y) % m for x, y in zip(row, held)]
             else:
                 install(row, j, v)
@@ -141,37 +145,36 @@ def howell_form(mat: ModMatrix) -> ModMatrix:
 
     for j in sorted(pivots):
         piv = pivots[j]
-        step = p ** params.valuation(piv[j])
         for j2, other in list(pivots.items()):
             if j2 < j and other[j]:
-                q = other[j] // step
+                q = other[j] // piv[j]
                 if q:
                     pivots[j2] = [(x - q * y) % m for x, y in zip(other, piv)]
 
     return ModMatrix(mat.params, mat.n, tuple(tuple(pivots[j]) for j in sorted(pivots)))
 
 
+def _pivot_orders(H: ModMatrix) -> list[int]:
+    """The additive order p^{s-v} of each row of a Howell form, whose pivot
+    entries are exactly p^v."""
+    m = H.params.modulus
+    return [m // row[_first_nonzero(row)] for row in H.rows]
+
+
 def span_size(mat: ModMatrix) -> int:
     """Number of elements of the row span: product of p^{s-v} over Howell pivots."""
-    params = mat.params
-    H = howell_form(mat)
-    size = 1
-    for row in H.rows:
-        size *= params.p ** (params.s - params.valuation(row[_first_nonzero(row)]))
-    return size
+    return math.prod(_pivot_orders(howell_form(mat)))
 
 
 def _residue(vec, H: ModMatrix) -> list[int]:
     """Reduce a vector against a Howell form; the residue is zero iff vec is in the span."""
-    params = H.params
-    p, m = params.p, params.modulus
+    m = H.params.modulus
     row = [int(x) % m for x in vec]
     for piv in H.rows:
         j = _first_nonzero(piv)
-        if row[j]:
-            q = row[j] // p ** params.valuation(piv[j])
-            if q:
-                row = [(x - q * y) % m for x, y in zip(row, piv)]
+        q = row[j] // piv[j]
+        if q:
+            row = [(x - q * y) % m for x, y in zip(row, piv)]
     return row
 
 
@@ -188,15 +191,14 @@ def enumerate_elements(mat: ModMatrix, cap: int = DEFAULT_ENUM_CAP):
     with 0 <= c_i < p^{s - v_i}; leading-term induction shows these hit each
     span element once. Yield order is lexicographic in (c_1, ..., c_h).
     """
-    params = mat.params
-    p, s, m = params.p, params.s, params.modulus
+    m = mat.params.modulus
     H = howell_form(mat)
-    guard_cap(span_size(H), cap, "module enumeration")
+    orders = _pivot_orders(H)
+    guard_cap(math.prod(orders), cap, "module enumeration")
 
     def gen():
         elems = [(0,) * H.n]
-        for row in H.rows:
-            order = p ** (s - params.valuation(row[_first_nonzero(row)]))
+        for row, order in zip(H.rows, orders):
             multiples = [(0,) * H.n]
             for _ in range(order - 1):
                 multiples.append(_vec_add(m, multiples[-1], row))
@@ -206,25 +208,26 @@ def enumerate_elements(mat: ModMatrix, cap: int = DEFAULT_ENUM_CAP):
     return gen()
 
 
-def kernel(mat: ModMatrix) -> ModMatrix:
-    """Generators of {x in R^n : M x^T = 0}, as a canonical Howell form.
+def _left_null_space(params: ChainRingParams, left) -> tuple[tuple[int, ...], ...]:
+    """Generators of {x : x L = 0}, L the matrix with the given rows: the
+    combination x of the rows of [L | I] is (x L, x), and by Howell closure
+    the Howell rows of [L | I] with zero left block span all those with
+    x L = 0, so their right blocks generate."""
+    k, width = len(left), len(left[0])
+    big_rows = tuple(
+        tuple(row) + tuple(int(t == i) for t in range(k)) for i, row in enumerate(left)
+    )
+    big = howell_form(ModMatrix(params, width + k, big_rows))
+    return tuple(row[width:] for row in big.rows if not any(row[:width]))
 
-    Computed from the Howell form of the block matrix [H^T | I_n]: a row
-    combination has zero left block iff its right block annihilates every
-    row of H, and by Howell closure the rows with zero left block span all
-    such combinations.
-    """
+
+def kernel(mat: ModMatrix) -> ModMatrix:
+    """Generators of {x in R^n : M x^T = 0}, as a canonical Howell form: the
+    left null space of H^T, for H the Howell form of M."""
     params, n = mat.params, mat.n
     H = howell_form(mat)
-    h = len(H.rows)
-    big_rows = []
-    for i in range(n):
-        left = tuple(H.rows[k][i] for k in range(h))
-        right = tuple(1 if t == i else 0 for t in range(n))
-        big_rows.append(left + right)
-    big = howell_form(ModMatrix(params, h + n, tuple(big_rows)))
-    ker_rows = tuple(row[h:] for row in big.rows if not any(row[:h]))
-    return howell_form(ModMatrix(params, n, ker_rows))
+    transposed = [tuple(row[i] for row in H.rows) for i in range(n)]
+    return howell_form(ModMatrix(params, n, _left_null_space(params, transposed)))
 
 
 def module_sum(a: ModMatrix, b: ModMatrix) -> ModMatrix:
@@ -242,9 +245,8 @@ def restrict(mat: ModMatrix, exponents) -> ModMatrix:
     """Generators of span(mat) cap prod_t <p^{e_t}>, the code met with an anticode.
 
     With H the h rows of mat, the intersection is {xH : p^{s-e_t} (xH)_t = 0
-    for every t}. One Howell form of the block [H diag(p^{s-e_t}) | I_h]
-    gives those x: as in `kernel`, its rows with zero left block span every
-    combination whose left block vanishes. Columns with e_t = 0 are left out,
+    for every t}: the x form the left null space of H diag(p^{s-e_t}), one
+    Howell form (`_left_null_space`). Columns with e_t = 0 are left out,
     since p^s = 0. The rows returned are not reduced; `Code` canonicalises.
     """
     exponents = tuple(exponents)
@@ -252,17 +254,12 @@ def restrict(mat: ModMatrix, exponents) -> ModMatrix:
         raise ValueError(f"{len(exponents)} exponents for length {mat.n}")
     params = mat.params
     p, s = params.p, params.s
-    h = len(mat.rows)
-    if not h:
+    if not mat.rows:
         return mat
     scale = [(t, p ** (s - e)) for t, e in enumerate(exponents) if e]
-    big_rows = tuple(
-        tuple(row[t] * c for t, c in scale) + tuple(int(k == i) for k in range(h))
-        for i, row in enumerate(mat.rows)
+    coeffs = _left_null_space(
+        params, [tuple(row[t] * c for t, c in scale) for row in mat.rows]
     )
-    width = len(scale)
-    big = howell_form(ModMatrix(params, width + h, big_rows))
-    coeffs = [row[width:] for row in big.rows if not any(row[:width])]
     rows = tuple(
         tuple(sum(x * gen[t] for x, gen in zip(c, mat.rows)) for t in range(mat.n))
         for c in coeffs

@@ -6,7 +6,7 @@ results are exact for any prime p and any nilpotency index s >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 # The first twelve primes: as Miller-Rabin bases they decide primality
@@ -44,6 +44,8 @@ class ChainRingParams:
 
     p: int
     s: int
+    # p**s, computed once: nearly every ring operation reads it.
+    modulus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.p >= 2**64:
@@ -52,10 +54,7 @@ class ChainRingParams:
             raise ValueError(f"p must be prime, got {self.p}")
         if self.s < 1:
             raise ValueError(f"s must be >= 1, got {self.s}")
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.s
+        object.__setattr__(self, "modulus", self.p**self.s)
 
     def require_odd(self) -> None:
         """The Lee bound machinery is only available for odd p."""

@@ -110,6 +110,9 @@ def verify_lattice(
         oracle_count = sum(1 for _ in po.maximal_chains())
         if count != oracle_count:
             return f"chain count {count} != oracle {oracle_count}"
+        formula = comp.maximal_chain_count(parts, total)
+        if count != formula:
+            return f"chain count {count} != hook-length formula {formula}"
         return None
 
     def check_reversal():

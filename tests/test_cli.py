@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lee_anticodes import cli, matrices
+from lee_anticodes import cli, dominance, matrices
 from lee_anticodes.verification import CheckResult
 
 
@@ -104,6 +104,28 @@ def test_lattice_chains(capsys):
         capsys, "lattice", "--parts", "3", "--sum", "3", "chains", "--format", "text"
     )
     assert out == "5 maximal chains, all of length 6\n"
+
+
+def test_lattice_chains_counts_without_enumerating(capsys, monkeypatch):
+    def no_chains(*args, **kwargs):
+        raise AssertionError("maximal chains enumerated")
+
+    monkeypatch.setattr(dominance, "maximal_chains", no_chains)
+    start = time.perf_counter()
+    status, out, _ = run_cli(capsys, "lattice", "--parts", "5", "--sum", "8", "chains")
+    assert status == 0
+    payload = json.loads(out)
+    assert (payload["count"], payload["length"]) == (1489877926680, 32)
+    status, out, _ = run_cli(
+        capsys, "lattice", "--parts", "6", "--sum", "12", "chains", "--format", "text"
+    )
+    assert status == 0
+    assert out == "336839101096824285057473785200 maximal chains, all of length 60\n"
+    assert time.perf_counter() - start < 5
+    status, _, err = run_cli(
+        capsys, "lattice", "--parts", "6", "--sum", "12", "chains", "--cap", "6187"
+    )
+    assert status == 2 and "lattice size: 6188 exceeds cap 6187" in err
 
 
 def test_code_analyze(capsys, code_file):
@@ -307,7 +329,7 @@ def test_invariants_refuses_oversized_code_before_census(capsys, monkeypatch, co
             capsys, "invariants", code_file, action, "--cap", "8"
         )
         assert status == 2 and out == ""
-        assert "submodule census base module: 27 exceeds cap 8" in err
+        assert "codeword enumeration: 27 exceeds cap 8" in err
 
 
 def test_invariants_refuses_too_many_anticodes(capsys, monkeypatch, tmp_path):

@@ -232,3 +232,28 @@ def test_hasse_dot():
     edge_count = sum(line.count(" -> ") for line in text.splitlines())
     assert edge_count == sum(len(dom.covers(a)) for a in elems)
     assert text == dom.hasse_dot(3, 3)
+
+
+def test_maximal_chain_count_matches_both_enumerations():
+    """The hook-length count against the chains both routes enumerate, on
+    every shape of the grid with at most 300 maximal chains."""
+    shapes = 0
+    for parts in range(1, 9):
+        for total in range(9):
+            chains = list(itertools.islice(dom.maximal_chains(parts, total), 301))
+            if len(chains) > 300:
+                continue
+            oracle_count = sum(1 for _ in poset_oracle(parts, total).maximal_chains())
+            assert dom.maximal_chain_count(parts, total) == len(chains) == oracle_count
+            shapes += 1
+    assert shapes > 20
+
+
+def test_maximal_chain_count_edges():
+    for n in range(20):
+        assert dom.maximal_chain_count(1, n) == 1
+    for parts in range(1, 20):
+        assert dom.maximal_chain_count(parts, 0) == 1
+    for parts, total in ((0, 3), (-1, 3), (3, -1), (0, -1)):
+        with pytest.raises(ValueError):
+            dom.maximal_chain_count(parts, total)

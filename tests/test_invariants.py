@@ -310,3 +310,9 @@ def test_table_json_dict():
     first = payload["entries"][0]
     assert first["a"] == [0, 0, 3]
     assert first["j"] == 0
+
+
+@pytest.mark.parametrize("p, s, n", CENSUSES)
+def test_hull_shape_is_the_support_subtype(p, s, n):
+    for code in oracle.enumerate_codes(n, ChainRingParams(p, s)):
+        assert code.support_subtype == hull(code).extended_subtype, code.gen.rows

@@ -157,3 +157,12 @@ def test_params_refuse_p_from_2_64():
     ChainRingParams(2**64 - 59, 1)
     with pytest.raises(ValueError, match="below 2\\^64"):
         ChainRingParams(2**64 + 13, 1)
+
+
+def test_modulus_stays_out_of_init_repr_equality_and_hash():
+    assert repr(Z9) == "ChainRingParams(p=3, s=2)"
+    assert Z9 == ChainRingParams(3, 2)
+    assert Z9 != ChainRingParams(3, 3)
+    assert hash(Z9) == hash(ChainRingParams(3, 2)) == hash((3, 2))
+    with pytest.raises(TypeError):
+        ChainRingParams(3, 2, 9)

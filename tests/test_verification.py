@@ -2,6 +2,7 @@ import pytest
 
 from lee_anticodes import anticodes as ac
 from lee_anticodes import cli
+from lee_anticodes import dominance as comp
 from lee_anticodes import invariants as inv
 from lee_anticodes import matrices as mx
 from lee_anticodes import verification as vf
@@ -131,3 +132,16 @@ def test_ghw_checked_for_p_2():
     results = {r.name: r for r in vf.verify_invariants(2, 2, 2)}
     assert results["ghw matches brute support minima"].passed
     assert all(r.passed for r in results.values())
+
+
+def test_chain_count_fault_fails_the_chains_check(monkeypatch, capsys):
+    # Not in PLANTED, which runs each suite as (3, 2, 2): a cap of 2 for
+    # verify_lattice.
+    monkeypatch.setattr(
+        comp, "maximal_chain_count", _off_by_one(comp.maximal_chain_count)
+    )
+    results = {r.name: r for r in vf.verify_lattice(3, 3)}
+    assert not results["maximal chains have the uniform length"].passed
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    assert cli.main(["verify", "lattice", "--format", "text"]) == 3
+    assert "FAIL maximal chains have the uniform length:" in capsys.readouterr().out
