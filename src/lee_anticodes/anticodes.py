@@ -46,10 +46,7 @@ class Anticode:
 
     @property
     def extended_subtype(self) -> tuple[int, ...]:
-        counts = [0] * (self.params.s + 1)
-        for e in self.exponents:
-            counts[e] += 1
-        return tuple(counts)
+        return matrices.valuation_counts(self.exponents, self.params.s + 1)
 
     @property
     def rank(self) -> int:
@@ -75,13 +72,6 @@ class Anticode:
     def as_code(self) -> Code:
         return Code(self.module())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.params.p,
-            "s": self.params.s,
-            "exponents": list(self.exponents),
-        }
-
 
 def _check_extended_composition(a, params: ChainRingParams) -> tuple[int, ...]:
     a = tuple(int(x) for x in a)
@@ -105,11 +95,6 @@ def canonical_exponents(a, params: ChainRingParams) -> tuple[int, ...]:
 
 def canonical_anticode(a, params: ChainRingParams) -> Anticode:
     return Anticode(params, canonical_exponents(a, params))
-
-
-def canonical_generator(a, params: ChainRingParams) -> ModMatrix:
-    """Block diagonal generator: I_{a_0}, p I_{a_1}, ..., trailing a_s zero columns."""
-    return canonical_anticode(a, params).module()
 
 
 def family_size(a) -> int:
@@ -146,16 +131,9 @@ def family(a, params: ChainRingParams, cap: int = DEFAULT_FAMILY_CAP) -> list[An
     return [Anticode(params, exps) for exps in exponent_vectors(a)]
 
 
-def _check_same_space(a: Anticode, b: Anticode) -> None:
-    if a.params != b.params:
-        raise ValueError("ring parameter mismatch")
-    if a.n != b.n:
-        raise ValueError(f"length mismatch: {a.n} vs {b.n}")
-
-
 def contains(outer: Anticode, inner: Anticode) -> bool:
     """True iff inner is a submodule of outer: exponentwise e_inner >= e_outer."""
-    _check_same_space(outer, inner)
+    matrices._check_same_space(outer, inner)
     return all(ei >= eo for eo, ei in zip(outer.exponents, inner.exponents))
 
 

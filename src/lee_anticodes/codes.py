@@ -28,7 +28,9 @@ class Code:
         canonical = matrices.howell_form(self.gen)
         object.__setattr__(self, "gen", canonical)
         object.__setattr__(self, "subtype", matrices.subtype(canonical))
-        object.__setattr__(self, "support_subtype", _support_subtype(canonical))
+        bins = self.params.s + 1
+        support = matrices.valuation_counts(column_valuations(canonical), bins)
+        object.__setattr__(self, "support_subtype", support)
 
     @classmethod
     def from_rows(cls, params: ChainRingParams, n: int, rows) -> "Code":
@@ -111,14 +113,6 @@ def column_valuations(gen: ModMatrix) -> tuple[int, ...]:
         min((params.valuation(row[j]) for row in gen.rows), default=params.s)
         for j in range(gen.n)
     )
-
-
-def _support_subtype(gen: ModMatrix) -> tuple[int, ...]:
-    """(n_0, ..., n_s): n_i = #columns whose projection generates <p^i>."""
-    counts = [0] * (gen.params.s + 1)
-    for v in column_valuations(gen):
-        counts[v] += 1
-    return tuple(counts)
 
 
 def hamming_support(code: Code) -> tuple[int, ...]:

@@ -101,16 +101,10 @@ def covers(a) -> tuple[tuple[int, ...], ...]:
 
 
 def covered_by(a) -> tuple[tuple[int, ...], ...]:
-    """The elements a covers: one unit moved from part j to part j+1."""
-    a = check_composition(a)
-    out = []
-    for j in range(len(a) - 1):
-        if a[j]:
-            b = list(a)
-            b[j] -= 1
-            b[j + 1] += 1
-            out.append(tuple(b))
-    return tuple(sorted(out, key=prefix_sums))
+    """The elements a covers: reversal is an order anti-isomorphism, so they
+    are the reversed covers of reversed a."""
+    below = (b[::-1] for b in covers(reverse_composition(a)))
+    return tuple(sorted(below, key=prefix_sums))
 
 
 def boolean_sublattice(a) -> tuple[tuple[int, ...], ...]:
@@ -156,9 +150,9 @@ def is_join_irreducible(a) -> bool:
 
 
 def is_meet_irreducible(a) -> bool:
-    """True iff a is covered by exactly one element."""
-    a = check_composition(a)
-    return sum(1 for x in a[1:] if x) == 1
+    """True iff a is covered by exactly one element: reversed a is join
+    irreducible."""
+    return is_join_irreducible(reverse_composition(a))
 
 
 def reverse_composition(a) -> tuple[int, ...]:

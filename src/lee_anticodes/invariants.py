@@ -111,27 +111,27 @@ def count_containing(b, a) -> int:
     prod_t C(a_hat_t - b_hat_{t-1}, a_t); zero unless b is dominated by a.
     """
     a, b = check_pair(a, b)
-    ah, bh = prefix_sums(a), prefix_sums(b)
-    if not _below(bh, ah):
-        return 0
-    out = 1
-    for t, at in enumerate(a):
-        prev = bh[t - 1] if t else 0
-        out *= math.comb(ah[t] - prev, at)
-    return out
+    return _placements(a, b, a)
 
 
 def count_inside(a, b) -> int:
-    """Number of anticodes in family(b) contained in a fixed member of family(a)."""
+    """Number of anticodes in family(b) contained in a fixed member of family(a).
+
+    The same greedy placement, of the b_t coordinates of exponent t:
+    prod_t C(a_hat_t - b_hat_{t-1}, b_t).
+    """
     a, b = check_pair(a, b)
+    return _placements(a, b, b)
+
+
+def _placements(a, b, placed) -> int:
+    """prod_t C(a_hat_t - b_hat_{t-1}, placed_t), zero unless b <= a."""
     ah, bh = prefix_sums(a), prefix_sums(b)
     if not _below(bh, ah):
         return 0
-    out = 1
-    for t, bt in enumerate(b):
-        prev = bh[t - 1] if t else 0
-        out *= math.comb(ah[t] - prev, bt)
-    return out
+    return math.prod(
+        math.comb(ah[t] - (bh[t - 1] if t else 0), x) for t, x in enumerate(placed)
+    )
 
 
 def inversion_coefficient(b, a) -> int:

@@ -71,7 +71,8 @@ class ModMatrix:
         return cls(params, n, rows)
 
 
-def _check_same_space(a: ModMatrix, b: ModMatrix) -> None:
+def _check_same_space(a, b) -> None:
+    """Both operands, modules or anticodes, live in one R^n."""
     if a.params != b.params:
         raise ValueError("ring parameter mismatch")
     if a.n != b.n:
@@ -154,6 +155,16 @@ def howell_form(mat: ModMatrix) -> ModMatrix:
     return ModMatrix(mat.params, mat.n, tuple(tuple(pivots[j]) for j in sorted(pivots)))
 
 
+def valuation_counts(values, bins: int) -> tuple[int, ...]:
+    """(c_0, ..., c_{bins-1}) with c_i the number of values equal to i: the
+    subtype from pivot valuations, the support subtype from column
+    valuations, the extended subtype from anticode exponents."""
+    counts = [0] * bins
+    for v in values:
+        counts[v] += 1
+    return tuple(counts)
+
+
 def _pivot_orders(H: ModMatrix) -> list[int]:
     """The additive order p^{s-v} of each row of a Howell form, whose pivot
     entries are exactly p^v."""
@@ -176,12 +187,6 @@ def _residue(vec, H: ModMatrix) -> list[int]:
         if q:
             row = [(x - q * y) % m for x, y in zip(row, piv)]
     return row
-
-
-def membership(vec, mat: ModMatrix) -> bool:
-    if len(vec) != mat.n:
-        raise ValueError(f"vector length {len(vec)} != {mat.n}")
-    return not any(_residue(vec, howell_form(mat)))
 
 
 def enumerate_elements(mat: ModMatrix, cap: int = DEFAULT_ENUM_CAP):
@@ -290,10 +295,7 @@ class SystematicForm:
 
     @property
     def subtype(self) -> tuple[int, ...]:
-        counts = [0] * self.params.s
-        for v in self.diag:
-            counts[v] += 1
-        return tuple(counts)
+        return valuation_counts(self.diag, self.params.s)
 
     @property
     def free_rank(self) -> int:

@@ -67,9 +67,6 @@ class ChainRingParams:
         self.require_odd()
         return (self.modulus - 1) // 2
 
-    def reduce(self, x: int) -> int:
-        return x % self.modulus
-
     def valuation(self, x: int) -> int:
         """Largest i <= s with p^i dividing x, where valuation(0) = s."""
         x %= self.modulus

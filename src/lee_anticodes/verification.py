@@ -8,13 +8,15 @@ the CLI can dump them and exit with the triage code for theorem violations.
 verify_invariants reads every subcode count off the one element-set census
 of R^n that oracle.enumerate_submodules builds for the suite (see
 _subcode_floors); no Howell-form census or module intersection enters that
-reference.
+reference. Containment between census entries is tested once per pair
+(_census_inside). verify_lattice counts maximal chains as cover paths of the
+poset oracle, top down, and enumerates no chain.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
 
@@ -51,6 +53,10 @@ def verify_lattice(
 ) -> list[CheckResult]:
     po = oracle.poset_oracle(parts, total, cap)
     elems = comp.compositions(parts, total)
+    lower = defaultdict(set)  # a -> the elements the oracle finds a covers
+    for b in elems:
+        for a in po.covers(b):
+            lower[a].add(b)
 
     def check_enumeration():
         expected = math.comb(total + parts - 1, parts - 1)
@@ -78,8 +84,7 @@ def verify_lattice(
         for a in elems:
             if set(comp.covers(a)) != set(po.covers(a)):
                 return f"covers disagree at {a}"
-            below = {b for b in elems if a in po.covers(b)}
-            if set(comp.covered_by(a)) != below:
+            if set(comp.covered_by(a)) != lower[a]:
                 return f"lower covers disagree at {a}"
         return None
 
@@ -101,15 +106,19 @@ def verify_lattice(
         return None
 
     def check_chains():
+        # Top down, each element's cover paths to the top: how many, the
+        # shortest and the longest. The maximal chains are those from the
+        # bottom, so none is enumerated.
+        goal = po.top()
+        paths = {goal: (1, 0, 0)}
+        for a in reversed(po.elements):
+            if a != goal:
+                counts, shorts, longs = zip(*(paths[b] for b in po.covers(a)))
+                paths[a] = (sum(counts), 1 + min(shorts), 1 + max(longs))
+        count, shortest, longest = paths[po.bottom()]
         want = comp.maximal_chain_length(parts, total)
-        count = 0
-        for chain in comp.maximal_chains(parts, total):
-            if len(chain) - 1 != want:
-                return f"chain of length {len(chain) - 1}, expected {want}"
-            count += 1
-        oracle_count = sum(1 for _ in po.maximal_chains())
-        if count != oracle_count:
-            return f"chain count {count} != oracle {oracle_count}"
+        if not shortest == longest == want:
+            return f"chain lengths {shortest} to {longest}, expected {want}"
         formula = comp.maximal_chain_count(parts, total)
         if count != formula:
             return f"chain count {count} != hook-length formula {formula}"
@@ -147,11 +156,9 @@ def verify_lattice(
 
     def check_irreducibles():
         for a in elems:
-            lower = sum(1 for b in elems if a in po.covers(b))
-            upper = len(po.covers(a))
-            if comp.is_join_irreducible(a) != (lower == 1):
+            if comp.is_join_irreducible(a) != (len(lower[a]) == 1):
                 return f"join irreducibility disagrees at {a}"
-            if comp.is_meet_irreducible(a) != (upper == 1):
+            if comp.is_meet_irreducible(a) != (len(po.covers(a)) == 1):
                 return f"meet irreducibility disagrees at {a}"
         return None
 
@@ -175,6 +182,15 @@ def _census_codes(params: ChainRingParams, n: int, cap: int):
     return census, [Code(entry.mat) for entry in census.entries]
 
 
+def _census_inside(census) -> list[list[int]]:
+    """For each census entry C, the indices of the entries inside C, by
+    element sets."""
+    entries = census.entries
+    return [
+        [j for j, d in enumerate(entries) if d.elements <= c.elements] for c in entries
+    ]
+
+
 def _subcode_floors(params: ChainRingParams, census) -> list[Counter]:
     """For each census entry C, how many entries D inside C have each
     (rank, floor), by element sets alone.
@@ -191,12 +207,8 @@ def _subcode_floors(params: ChainRingParams, census) -> list[Counter]:
         for entry in census.entries
     ]
     return [
-        Counter(
-            (d.rank, floor)
-            for d, floor in zip(census.entries, floors)
-            if d.elements <= c.elements
-        )
-        for c in census.entries
+        Counter((census.entries[j].rank, floors[j]) for j in inside)
+        for inside in _census_inside(census)
     ]
 
 
@@ -238,18 +250,14 @@ def verify_counting(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP
         return None
 
     def check_brackets():
-        for parent in census.entries:
-            ext = parent.subtype + (n - parent.rank,)
-            counts: dict = {}
-            for entry in census.entries:
-                if entry.elements <= parent.elements:
-                    key = entry.subtype + (n - entry.rank,)
-                    counts[key] = counts.get(key, 0) + 1
+        exts = [entry.subtype + (n - entry.rank,) for entry in census.entries]
+        for ext, inside in zip(exts, _census_inside(census)):
+            counts = Counter(exts[j] for j in inside)
             for b in comps:
-                if inv.chain_bracket(ext, b, p) != counts.get(b, 0):
+                if inv.chain_bracket(ext, b, p) != counts[b]:
                     return (
                         f"bracket({ext}, {b}) = {inv.chain_bracket(ext, b, p)} "
-                        f"but census finds {counts.get(b, 0)}"
+                        f"but census finds {counts[b]}"
                     )
         return None
 

@@ -31,11 +31,11 @@ def test_anticode_basic_properties():
 
 
 def test_canonical_generator():
-    gen = ac.canonical_generator((1, 1, 1), Z9)
+    gen = ac.canonical_anticode((1, 1, 1), Z9).module()
     assert gen.rows == ((1, 0, 0), (0, 3, 0))
     assert ac.canonical_exponents((1, 1, 1), Z9) == (0, 1, 2)
-    assert ac.canonical_generator((0, 0, 2), Z9).rows == ()
-    assert ac.canonical_generator((3, 0, 0), Z9).rows == (
+    assert ac.canonical_anticode((0, 0, 2), Z9).module().rows == ()
+    assert ac.canonical_anticode((3, 0, 0), Z9).module().rows == (
         (1, 0, 0),
         (0, 1, 0),
         (0, 0, 1),
@@ -169,11 +169,3 @@ def test_is_optimal_rejects_unknown_metric_and_even_p():
     with pytest.raises(ValueError):
         ac.is_optimal(even, "lee")
     assert ac.is_optimal(even, "hamming")
-
-
-def test_to_json_dict():
-    assert Anticode(Z9, (0, 1, 2)).to_json_dict() == {
-        "p": 3,
-        "s": 2,
-        "exponents": [0, 1, 2],
-    }

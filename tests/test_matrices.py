@@ -133,11 +133,12 @@ def test_span_size_example():
 
 def test_membership():
     mat = ModMatrix(Z9, 3, ((0, 3, 0), (3, 0, 0)))
-    assert mx.membership((3, 6, 0), mat)
-    assert not mx.membership((1, 0, 0), mat)
+    code = Code(mat)
+    assert code.contains_vector((3, 6, 0))
+    assert not code.contains_vector((1, 0, 0))
     elems = set(mx.enumerate_elements(mat))
     for vec in [(0, 0, 0), (3, 6, 0), (1, 0, 0), (0, 1, 0), (6, 3, 0)]:
-        assert mx.membership(vec, mat) == (vec in elems)
+        assert code.contains_vector(vec) == (vec in elems)
 
 
 def test_enumerate_elements_cap():

@@ -5,6 +5,7 @@ from lee_anticodes import cli
 from lee_anticodes import dominance as comp
 from lee_anticodes import invariants as inv
 from lee_anticodes import matrices as mx
+from lee_anticodes import oracle
 from lee_anticodes import verification as vf
 from lee_anticodes.codes import Code
 from lee_anticodes.matrices import ModMatrix
@@ -20,8 +21,21 @@ def test_verify_all_passes():
 
 
 def test_verify_lattice_rectangular_case():
+    # (4, 3) and the edge shapes: one part, total zero, two parts (a chain)
+    for parts, total in [(4, 3), (1, 0), (1, 5), (3, 0), (2, 8)]:
+        results = vf.verify_lattice(parts, total)
+        assert [r.name for r in results if not r.passed] == []
+        assert len(results) == 11
+
+
+def test_verify_lattice_enumerates_no_chain(monkeypatch):
+    def no_chains(*args, **kwargs):
+        raise AssertionError("a maximal chain was enumerated")
+
+    monkeypatch.setattr(comp, "maximal_chains", no_chains)
+    monkeypatch.setattr(oracle.PosetOracle, "maximal_chains", no_chains)
     results = vf.verify_lattice(4, 3)
-    assert all(r.passed for r in results)
+    assert [r.name for r in results if not r.passed] == []
     assert len(results) == 11
 
 
@@ -82,6 +96,10 @@ PLANTED = {
     ),
     "differences": (inv, "_differences", _from_the_wrong_end, "invariants", TABLES),
     "restrict": (mx, "restrict", _drops_last_generator, "invariants", TABLES),
+    "chain_bracket_counting": (
+        inv, "chain_bracket", _off_by_one, "counting",
+        "brackets count submodules on every parent",
+    ),
     "count_containing": (inv, "count_containing", _off_by_one, "invariants", TABLES),
     "inversion_coefficient": (
         inv, "inversion_coefficient", _off_by_one, "invariants", TABLES,
@@ -142,6 +160,18 @@ def test_chain_count_fault_fails_the_chains_check(monkeypatch, capsys):
     )
     results = {r.name: r for r in vf.verify_lattice(3, 3)}
     assert not results["maximal chains have the uniform length"].passed
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    assert cli.main(["verify", "lattice", "--format", "text"]) == 3
+    assert "FAIL maximal chains have the uniform length:" in capsys.readouterr().out
+
+
+def test_chain_length_fault_fails_the_chains_check(monkeypatch, capsys):
+    monkeypatch.setattr(
+        comp, "maximal_chain_length", _off_by_one(comp.maximal_chain_length)
+    )
+    results = {r.name: r for r in vf.verify_lattice(3, 3)}
+    chains = results["maximal chains have the uniform length"]
+    assert not chains.passed and chains.detail.startswith("chain lengths 6 to 6")
     monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
     assert cli.main(["verify", "lattice", "--format", "text"]) == 3
     assert "FAIL maximal chains have the uniform length:" in capsys.readouterr().out
