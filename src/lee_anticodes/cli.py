@@ -306,12 +306,13 @@ def cmd_invariants(args, cap: int | None) -> _Output:
 
     ranks = range(1, code.rank + 1)
     shape = {"p": params.p, "s": params.s, "n": code.n, "rank": code.rank}
+    # ghw and rweights read one free walk, which meets C with up to 2^n
+    # anticodes, one free family (m, 0, ..., 0, n - m) for each m.
+    guard_cap(2**code.n, capv, "free anticode count")
+    fields = inv.r_weight_fields(code)
 
     if args.action == "ghw":
-        # The free walk meets C with up to 2^n anticodes, one free family
-        # (m, 0, ..., 0, n - m) for each m.
-        guard_cap(2**code.n, capv, "free anticode count")
-        ghw_list = list(inv.ghw(code))
+        ghw_list = list(fields["ghw"])
         return _Output(
             {**shape, "ghw": ghw_list},
             header="r;ghw",
@@ -319,11 +320,6 @@ def cmd_invariants(args, cap: int | None) -> _Output:
             text="ghw = " + " ".join(str(g) for g in ghw_list) + "\n",
         )
 
-    # rweights: the free walk alone gives the answer, but the action keeps
-    # the table's refusal of lengths with more than cap anticodes, so that
-    # the lengths it accepts do not change.
-    guard_cap((params.s + 1) ** code.n, capv, "anticode count")
-    fields = inv.r_weight_fields(code)
     return _Output(
         {**shape, "linear_extension": comp.LINEAR_EXTENSION_NAME, **fields},
         header="r;d_r;d_r_free;ghw",

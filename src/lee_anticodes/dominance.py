@@ -47,10 +47,7 @@ def from_prefix_sums(ah) -> tuple[int, ...]:
 
 def compositions(parts: int, total: int) -> list[tuple[int, ...]]:
     """All weak compositions of `total` into `parts` parts, in linear_key order."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if total < 0:
-        raise ValueError("total must be >= 0")
+    composition_count(parts, total)
     out: list[tuple[int, ...]] = []
     # prefix sums are the nondecreasing (parts-1)-multisets of {0..total}
     for bars in combinations(range(total + parts - 1), parts - 1):
@@ -61,6 +58,11 @@ def compositions(parts: int, total: int) -> list[tuple[int, ...]]:
 
 
 def composition_count(parts: int, total: int) -> int:
+    """Number of weak compositions of `total` into `parts` parts; validates both."""
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
+    if total < 0:
+        raise ValueError("total must be >= 0")
     return math.comb(total + parts - 1, parts - 1)
 
 
@@ -168,20 +170,9 @@ def linear_key(a):
 LINEAR_EXTENSION_NAME = "prefix-sum lexicographic"
 
 
-def linear_cmp(a, b) -> int:
-    a, b = check_pair(a, b)
-    ka, kb = prefix_sums(a), prefix_sums(b)
-    if ka == kb:
-        return 0
-    return -1 if ka < kb else 1
-
-
 def maximal_chain_length(parts: int, total: int) -> int:
     """Every maximal chain takes (parts - 1) * total covering steps."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if total < 0:
-        raise ValueError("total must be >= 0")
+    composition_count(parts, total)
     return (parts - 1) * total
 
 

@@ -29,8 +29,9 @@ largest r with ghw_r <= n - a_s, and every R-weight quantity comes from
 the generalized Hamming weights (Wei 1991, in the anticode form of
 Ravagnani 2016): the minimal set for r is the one shape
 (0, ..., 0, ghw_r, n - ghw_r), which is also d_r. The weights themselves
-come from one walk over the free shapes (m, 0, ..., 0, n-m), a chain,
-meeting C with each anticode by matrices.restrict; it never enumerates C.
+come from one walk over the free shapes (m, 0, ..., 0, n-m), a chain, that
+reads the rank of matrices.restrict at each exponent vector of each shape;
+it builds no Code or Anticode, keeps no cache and never enumerates C.
 Each quantity is computed one way here; `verification.verify_invariants`
 checks it against the element-set census of submodules, the double
 enumeration of pairs and both identities.
@@ -168,9 +169,10 @@ def _intersection_cached(code: Code, anticode: ac.Anticode) -> Code:
     return Code(matrices.restrict(code.gen, anticode.exponents))
 
 
-# Nothing in the package calls _subcode_stats or matrices.submodule_census;
-# perfbench/spans.py wraps the census and reads this cache, so both stay
-# until the benchmark drops them.
+# Nothing in the package calls _subcode_stats or matrices.submodule_census,
+# and only binomial_moment_single, reached by tests and perfbench/spans.py,
+# calls _intersection_cached. spans.py wraps the census and reads both
+# caches' cache_info(), so all stay until the benchmark drops them.
 @lru_cache(maxsize=None)
 def _subcode_stats(code: Code, cap: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(rank, hull exponents) for every submodule of the given code, by census."""
@@ -357,11 +359,6 @@ def distribution_from_moments(table: InvariantTable, a) -> list[int]:
     )
 
 
-def _family_rank(code: Code, a) -> int:
-    """max over A in family(a) of rank(C cap A); it only grows along dominance."""
-    return max(_intersection_cached(code, A).rank for A in ac.family(a, code.params))
-
-
 def r_weight_minimal_set(code: Code) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """For r = 1..rank(C), the dominance-minimal shapes whose family meets C
     in rank >= r.
@@ -381,12 +378,15 @@ def r_weight(code: Code) -> tuple[tuple[int, ...], ...]:
 
 def r_weight_free(code: Code) -> tuple[tuple[int, ...], ...]:
     """Like r_weight, over the free shapes (m, 0, ..., 0, n-m) only: a chain,
-    walked in m until its family rank reaches rank(C)."""
-    s, n = code.params.s, code.n
+    walked in m until its family rank, the largest rank(C cap A) over the
+    exponent vectors of the shape, reaches rank(C)."""
+    s, n, gen = code.params.s, code.n, code.gen
     out: list = []
     for m in range(n + 1):
         a = (m,) + (0,) * (s - 1) + (n - m,)
-        out.extend([a] * (min(_family_rank(code, a), code.rank) - len(out)))
+        vectors = ac.exponent_vectors(a)
+        rank = max(matrices.rank(matrices.restrict(gen, e)) for e in vectors)
+        out.extend([a] * (min(rank, code.rank) - len(out)))
         if len(out) == code.rank:
             return tuple(out)
     raise InternalCheckError(

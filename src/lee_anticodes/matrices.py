@@ -23,9 +23,9 @@ pivot, diagonal (0,), free rank 1, subtype (1,0).
 Howell form of [L | I] (`_left_null_space`). The kernel has L = H^T. A code
 met with an anticode, C cap prod_t <p^{e_t}>, has L = H diag(p^{s-e_t}): the
 x are the coefficient vectors with x H in the anticode. The R-weight walk
-and the per-anticode counts of `invariants` use `restrict`; the invariant
-table reads the subtypes of all (s+1)^n intersections off one enumeration
-of C instead. `module_intersect` meets two arbitrary modules by duality,
+of `invariants` reads the rank of `restrict` at each free exponent vector;
+the invariant table reads the subtypes of all (s+1)^n intersections off
+one enumeration of C instead. `module_intersect` meets two modules by duality,
 through kernels, at about nine Howell forms; it is the reference the tests
 hold `restrict` to.
 """

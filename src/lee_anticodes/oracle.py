@@ -245,10 +245,6 @@ class PosetOracle:
                 stack.append(chain + (nxt,))
 
 
-def poset_oracle(parts: int, total: int, cap: int = DEFAULT_POSET_CAP) -> PosetOracle:
-    return PosetOracle(parts, total, cap)
-
-
 def enumerate_anticodes(
     n: int, params: ChainRingParams, cap: int = DEFAULT_ANTICODE_CAP
 ) -> list[Anticode]:

@@ -51,7 +51,7 @@ def _run(name: str, fn) -> CheckResult:
 def verify_lattice(
     parts: int, total: int, cap: int = oracle.DEFAULT_POSET_CAP
 ) -> list[CheckResult]:
-    po = oracle.poset_oracle(parts, total, cap)
+    po = oracle.PosetOracle(parts, total, cap)
     elems = comp.compositions(parts, total)
     lower = defaultdict(set)  # a -> the elements the oracle finds a covers
     for b in elems:
@@ -414,13 +414,15 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
     subcodes = _subcode_floors(params, census)
     all_anticodes = oracle.enumerate_anticodes(n, params)
     comps = comp.compositions(s + 1, n)
+    # Each code's table, R-weight fields included, is built once per suite.
+    table = cache(inv.build_invariant_table)
 
     def check_tables():
         # Every cell against the element-set census: B(A, j) counts the
         # rank-j subcodes of C inside A, W(A, j) those whose hull is A.
         # Then B >= W and both identities, one row over j per (table, a).
         for c, subs in zip(codes, subcodes):
-            table = inv.build_invariant_table(c)
+            t = table(c)
             for a in comps:
                 want_b = [0] * (c.rank + 1)
                 want_w = [0] * (c.rank + 1)
@@ -431,12 +433,12 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
                             want_b[r] += count
                             if floor == e:
                                 want_w[r] += count
-                moments = inv.moments_from_distribution(table, a)
-                weights = inv.distribution_from_moments(table, a)
+                moments = inv.moments_from_distribution(t, a)
+                weights = inv.distribution_from_moments(t, a)
                 for j in range(c.rank + 1):
                     key, where = (a, j), f"at a={a}, j={j} for {c.gen.rows}"
                     want = (want_b[j], want_w[j])
-                    got = (table.binomial_moments[key], table.weight_distributions[key])
+                    got = (t.binomial_moments[key], t.weight_distributions[key])
                     if got != want:
                         return f"(B, W) = {got} but the census gives {want} {where}"
                     if got[0] < got[1] or (moments[j], weights[j]) != got:
@@ -453,7 +455,7 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
         for c in codes:
             dual = matrices.kernel(c.gen)
             for A, dual_a in zip(all_anticodes, dual_anticodes):
-                lhs = inv._intersection_cached(c, A).rank
+                lhs = matrices.rank(matrices.restrict(c.gen, A.exponents))
                 rhs = n - matrices.free_rank(matrices.module_sum(dual, dual_a))
                 if lhs != rhs:
                     return (
@@ -477,7 +479,7 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
 
     def check_chain_monotone():
         for c in codes:
-            chain = list(inv.r_weight(c))
+            chain = list(table(c).r_weights)
             for d1, d2 in zip(chain, chain[1:]):
                 if comp.linear_key(d1) > comp.linear_key(d2):
                     return f"r-weight chain decreases for {c.gen.rows}: {chain}"
@@ -485,7 +487,7 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
 
     def check_ghw():
         for c, subs in zip(codes, subcodes):
-            values = list(inv.ghw(c))
+            values = list(table(c).ghw)
             brute = [
                 min(sum(x < s for x in floor) for rank, floor in subs if rank == r)
                 for r in range(1, c.rank + 1)
@@ -497,7 +499,7 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
         return None
 
     def check_free_weights_determined():
-        data = [(inv.r_weight(c), inv.r_weight_free(c)) for c in codes]
+        data = [(table(c).r_weights, table(c).r_weights_free) for c in codes]
         for chain_a, free_a in data:
             for chain_b, free_b in data:
                 for r in range(min(len(chain_a), len(chain_b))):

@@ -274,6 +274,13 @@ def test_usage_errors_exit_1(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("parts, action", [("0", "enum"), ("-1", "chains")])
+def test_lattice_rejects_parts_below_one(capsys, parts, action):
+    status, out, err = run_cli(capsys, "lattice", "--parts", parts, "--sum", "3", action)
+    assert (status, out) == (1, "")
+    assert err == "error: parts must be >= 1\n"
+
+
 def test_unsupported_format_exits_1(capsys):
     status, _, err = run_cli(
         capsys, "lattice", "--parts", "3", "--sum", "3", "enum", "--format", "dot"
@@ -347,10 +354,14 @@ def test_invariants_refuses_too_many_anticodes(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(matrices, "restrict", no_intersection)
     monkeypatch.setattr(matrices, "enumerate_elements", no_codewords)
     monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
-    for action in ("moments", "distribution", "rweights"):
+    for action in ("moments", "distribution"):
         status, out, err = run_cli(capsys, "invariants", str(path), action)
         assert status == 2 and out == ""
         assert "anticode count: 531441 exceeds cap 2187" in err
+    # The R-weights walk only the 2^12 free anticodes.
+    status, out, err = run_cli(capsys, "invariants", str(path), "rweights")
+    assert status == 2 and out == ""
+    assert "free anticode count: 4096 exceeds cap 2187" in err
 
 
 def test_ghw_refuses_a_long_free_walk_before_any_intersection(
@@ -381,6 +392,20 @@ def test_ghw_keeps_lengths_up_to_eleven(capsys, monkeypatch, tmp_path):
         capsys, "invariants", str(path), "ghw", "--format", "text"
     )
     assert (status, out, err) == (0, "ghw = 11\n", "")
+
+
+def test_rweights_accept_every_length_ghw_accepts(capsys, monkeypatch, tmp_path):
+    # (Z/9)^8 has 3^8 = 6561 anticodes but only 2^8 = 256 free ones, and
+    # both actions read the R-weights off the free walk.
+    path = tmp_path / "eight.txt"
+    path.write_text("3 2 8\n" + " ".join(["1"] * 8) + "\n")
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    expected = {"ghw": "ghw = 8\n", "rweights": "r=1 d=(0,8,0) d_free=(8,0,0) ghw=8\n"}
+    for action, text in expected.items():
+        status, out, err = run_cli(
+            capsys, "invariants", str(path), action, "--format", "text"
+        )
+        assert (status, out, err) == (0, text, "")
 
 
 def test_r_weights_over_a_large_ring_take_no_enumeration(capsys, monkeypatch, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from lee_anticodes import dominance as dom
 from lee_anticodes.errors import CapExceeded
-from lee_anticodes.oracle import poset_oracle
+from lee_anticodes.oracle import PosetOracle
 
 
 def test_prefix_sums_round_trip():
@@ -24,6 +24,14 @@ def test_composition_validation():
         dom.check_pair((1, 2), (1, 2, 0))
     with pytest.raises(ValueError):
         dom.check_pair((1, 2), (2, 2))
+
+
+def test_composition_count_validates_parts_and_total():
+    cases = ((0, 3, "parts must be >= 1"), (2, -1, "total must be >= 0"))
+    for parts, total, message in cases:
+        for call in (dom.composition_count, dom.compositions, dom.maximal_chain_length):
+            with pytest.raises(ValueError, match=message):
+                call(parts, total)
 
 
 def test_enumeration_counts():
@@ -113,7 +121,7 @@ def test_mobius_support_is_boolean_sublattice():
 
 
 def test_mobius_matches_recursion():
-    po = poset_oracle(4, 3)
+    po = PosetOracle(4, 3)
     for a in po.elements:
         for b in po.elements:
             assert dom.mobius(a, b) == po.mobius(a, b)
@@ -136,7 +144,7 @@ def test_mobius_inversion_round_trip():
 
 
 def test_lattice_axioms_against_oracle():
-    po = poset_oracle(3, 3)
+    po = PosetOracle(3, 3)
     elems = po.elements
     for a in elems:
         for b in elems:
@@ -158,7 +166,7 @@ def test_irreducibles():
     assert not dom.is_join_irreducible((1, 1, 1))
     assert not dom.is_meet_irreducible((1, 1, 1))
     assert dom.is_meet_irreducible((2, 1, 0))
-    po = poset_oracle(3, 3)
+    po = PosetOracle(3, 3)
     below = {
         a: [b for b in po.elements if a in po.covers(b)] for a in po.elements
     }
@@ -183,7 +191,7 @@ def test_maximal_chains_structure():
         for lo, hi in zip(chain, chain[1:]):
             assert hi in dom.covers(lo)
     assert len({tuple(c) for c in chains}) == len(chains)
-    po = poset_oracle(3, 3)
+    po = PosetOracle(3, 3)
     assert len(chains) == len(list(po.maximal_chains()))
 
 
@@ -205,13 +213,13 @@ def test_reverse_composition():
 
 
 def test_linear_extension():
-    assert dom.linear_cmp((0, 0, 3), (0, 1, 2)) < 0
-    assert dom.linear_cmp((1, 1, 1), (1, 1, 1)) == 0
+    assert dom.linear_key((0, 0, 3)) < dom.linear_key((0, 1, 2))
+    assert dom.linear_key((1, 1, 1)) == dom.linear_key((1, 1, 1))
     elems = dom.compositions(3, 4)
     for a in elems:
         for b in elems:
             if dom.dominance_leq(a, b) and a != b:
-                assert dom.linear_cmp(a, b) < 0
+                assert dom.linear_key(a) < dom.linear_key(b)
 
 
 def test_lattice_rank():
@@ -243,7 +251,7 @@ def test_maximal_chain_count_matches_both_enumerations():
             chains = list(itertools.islice(dom.maximal_chains(parts, total), 301))
             if len(chains) > 300:
                 continue
-            oracle_count = sum(1 for _ in poset_oracle(parts, total).maximal_chains())
+            oracle_count = sum(1 for _ in PosetOracle(parts, total).maximal_chains())
             assert dom.maximal_chain_count(parts, total) == len(chains) == oracle_count
             shapes += 1
     assert shapes > 20

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from lee_anticodes import anticodes as ac
 from lee_anticodes import cli, matrices
 from lee_anticodes import invariants as inv
 
@@ -119,11 +120,27 @@ def test_invariants_intersect_by_restriction(action, fixed_env, monkeypatch):
 
     monkeypatch.setattr(matrices, "module_intersect", no_duality)
     monkeypatch.setattr(matrices, "kernel", no_duality)
-    inv._intersection_cached.cache_clear()
-    try:
-        _check(f"invariants-mixed-{action}-default")
-    finally:
-        inv._intersection_cached.cache_clear()
+    _check(f"invariants-mixed-{action}-default")
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("the intersection cache or an anticode family was used")
+
+
+@pytest.mark.parametrize("action", ["moments", "distribution", "rweights", "ghw"])
+def test_invariants_walk_keeps_no_cache_and_builds_no_family(
+    action, fixed_env, monkeypatch
+):
+    """The free walk reads the rank of each restriction by exponent vector:
+    no process-lifetime cache, no Anticode objects."""
+    monkeypatch.setattr(inv, "_intersection_cached", _raises)
+    monkeypatch.setattr(ac, "family", _raises)
+    _check(f"invariants-mixed-{action}-default")
+
+
+def test_verify_invariants_keeps_no_intersection_cache(fixed_env, monkeypatch):
+    monkeypatch.setattr(inv, "_intersection_cached", _raises)
+    _check("verify-invariants-default")
 
 
 def test_verify_invariants_counts_in_the_element_census(fixed_env, monkeypatch):

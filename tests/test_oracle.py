@@ -83,7 +83,7 @@ def test_enumerate_submodules_cap():
 
 
 def test_poset_oracle_basics():
-    po = oracle.poset_oracle(3, 3)
+    po = oracle.PosetOracle(3, 3)
     assert len(po.elements) == 10
     assert po.bottom() == (0, 0, 3)
     assert po.top() == (3, 0, 0)
@@ -116,7 +116,7 @@ def _covers_by_definition(elements, a):
 
 
 def test_poset_oracle_answers_inputs_by_definition():
-    po = oracle.poset_oracle(3, 3)
+    po = oracle.PosetOracle(3, 3)
     # lists, and tuples that are no element of the lattice
     outside = [(0, 0, 2), (1, 1, 2), (0, 4, 0), (3, 0, 0, 0), (0, 0, 1)]
     inputs = [list(a) for a in po.elements] + outside + list(po.elements)
@@ -130,7 +130,7 @@ def test_poset_oracle_answers_inputs_by_definition():
 
 
 def test_poset_oracle_chains():
-    po = oracle.poset_oracle(3, 3)
+    po = oracle.PosetOracle(3, 3)
     chains = list(po.maximal_chains())
     assert len({tuple(c) for c in chains}) == len(chains)
     for chain in chains:
@@ -141,9 +141,9 @@ def test_poset_oracle_chains():
 
 def test_poset_oracle_validation():
     with pytest.raises(ValueError):
-        oracle.poset_oracle(0, 3)
+        oracle.PosetOracle(0, 3)
     with pytest.raises(CapExceeded):
-        oracle.poset_oracle(6, 30)
+        oracle.PosetOracle(6, 30)
 
 
 def test_enumerate_anticodes():

@@ -51,8 +51,12 @@ def _off_by_one(fn):
     return lambda *args, **kwargs: fn(*args, **kwargs) + 1
 
 
-def _each_off_by_one(fn):
-    return lambda *args: tuple(x + 1 for x in fn(*args))
+def _ghw_off_by_one(fields):
+    def planted(code):
+        out = fields(code)
+        return {**out, "ghw": tuple(g + 1 for g in out["ghw"])}
+
+    return planted
 
 
 def _from_the_wrong_end(grid_pass):
@@ -109,7 +113,8 @@ PLANTED = {
         "pair counts match double enumeration",
     ),
     "ghw": (
-        inv, "ghw", _each_off_by_one, "invariants", "ghw matches brute support minima",
+        inv, "r_weight_fields", _ghw_off_by_one, "invariants",
+        "ghw matches brute support minima",
     ),
     "free_rank": (
         mx, "free_rank", _off_by_one, "invariants",
@@ -134,16 +139,30 @@ PLANTED = {
 def test_planted_fault_fails_its_check(fault, monkeypatch, capsys):
     owner, attr, plant, scope, name = PLANTED[fault]
     monkeypatch.setattr(owner, attr, plant(getattr(owner, attr)))
-    # Earlier tests leave correct intersections in the production cache.
-    inv._intersection_cached.cache_clear()
-    try:
-        results = {r.name: r for r in getattr(vf, f"verify_{scope}")(3, 2, 2)}
-        assert not results[name].passed
-        monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
-        assert cli.main(["verify", scope, "--format", "text"]) == 3
-        assert f"FAIL {name}:" in capsys.readouterr().out
-    finally:
-        inv._intersection_cached.cache_clear()
+    results = {r.name: r for r in getattr(vf, f"verify_{scope}")(3, 2, 2)}
+    assert not results[name].passed
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    assert cli.main(["verify", scope, "--format", "text"]) == 3
+    assert f"FAIL {name}:" in capsys.readouterr().out
+
+
+def test_verify_invariants_builds_each_table_once(monkeypatch):
+    calls = {"build_invariant_table": [], "r_weight_free": []}
+    for name, seen in calls.items():
+        original = getattr(inv, name)
+
+        def counted(code, *args, original=original, seen=seen):
+            seen.append(code)
+            return original(code, *args)
+
+        monkeypatch.setattr(inv, name, counted)
+    results = vf.verify_invariants(3, 2, 2)
+    assert all(r.passed for r in results)
+    codes = list(oracle.enumerate_codes(2, ChainRingParams(3, 2)))
+    for seen in calls.values():
+        assert sorted(seen, key=lambda c: c.gen.rows) == sorted(
+            codes, key=lambda c: c.gen.rows
+        )
 
 
 def test_ghw_checked_for_p_2():
