@@ -178,16 +178,26 @@ def cmd_lattice(args, cap: int | None) -> _Output:
     parts, total, action = args.parts, args.total, args.action
     capv = _cap_or(cap, comp.DEFAULT_LATTICE_CAP)
     guard_cap(comp.composition_count(parts, total), capv, "lattice size")
-    elems = comp.compositions(parts, total)
     shape = {"parts": parts, "sum": total}
-
-    if action == "enum":
-        record = {**shape, "count": len(elems), "elements": [list(a) for a in elems]}
-        return _Output(record, header="a", rows=[(a,) for a in elems], line="{0}")
 
     if action == "hasse":
         dot = comp.hasse_dot(parts, total, capv)
         return _Output({**shape, "dot": dot}, text=dot, dot=dot)
+
+    if action == "chains":
+        length = comp.maximal_chain_length(parts, total)
+        count = comp.maximal_chain_count(parts, total)
+        return _Output(
+            {**shape, "count": count, "length": length},
+            header="count;length",
+            rows=[(count, length)],
+            text=f"{count} maximal chains, all of length {length}\n",
+        )
+
+    elems = comp.compositions(parts, total)
+    if action == "enum":
+        record = {**shape, "count": len(elems), "elements": [list(a) for a in elems]}
+        return _Output(record, header="a", rows=[(a,) for a in elems], line="{0}")
 
     if action == "mobius":
         entries = [
@@ -204,30 +214,18 @@ def cmd_lattice(args, cap: int | None) -> _Output:
             record, header="a;b;mu", rows=entries, line="mu(({0}), ({1})) = {2}"
         )
 
-    if action == "covers":
-        ups = [(a, comp.covers(a)) for a in elems]
-        record = {
-            **shape,
-            "entries": [
-                {"a": list(a), "covers": [list(b) for b in up]} for a, up in ups
-            ],
-        }
-        text = "".join(
-            f"({_cell(a)}) -> " + " ".join(f"({_cell(b)})" for b in up) + "\n"
-            for a, up in ups
-        )
-        rows = [(a, b) for a, up in ups for b in up]
-        return _Output(record, header="a;b", rows=rows, text=text)
-
-    # chains
-    length = comp.maximal_chain_length(parts, total)
-    count = comp.maximal_chain_count(parts, total)
-    return _Output(
-        {**shape, "count": count, "length": length},
-        header="count;length",
-        rows=[(count, length)],
-        text=f"{count} maximal chains, all of length {length}\n",
+    # covers
+    ups = [(a, comp.covers(a)) for a in elems]
+    record = {
+        **shape,
+        "entries": [{"a": list(a), "covers": [list(b) for b in up]} for a, up in ups],
+    }
+    text = "".join(
+        f"({_cell(a)}) -> " + " ".join(f"({_cell(b)})" for b in up) + "\n"
+        for a, up in ups
     )
+    rows = [(a, b) for a, up in ups for b in up]
+    return _Output(record, header="a;b", rows=rows, text=text)
 
 
 def _load_code(path: str) -> Code:

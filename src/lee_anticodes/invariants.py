@@ -62,18 +62,19 @@ from .ring import ChainRingParams
 DEFAULT_CENSUS_CAP = 3**7
 
 
-@lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of F_q^n, by the q-Pascal recurrence."""
+    """Number of k-dimensional subspaces of F_q^n: with k = min(k, n - k),
+    prod_{i<k} (q^(n-i) - 1) over prod_{i<k} (q^(i+1) - 1), divided once,
+    exactly."""
     if q < 2:
         raise ValueError("q must be at least 2")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return 0
-    if k == 0 or k == n:
-        return 1
-    return gaussian_binomial(n - 1, k - 1, q) + q**k * gaussian_binomial(n - 1, k, q)
+    k = min(k, n - k)
+    numerator = math.prod(q ** (n - i) - 1 for i in range(k))
+    return numerator // math.prod(q ** (i + 1) - 1 for i in range(k))
 
 
 def _below(bh, ah) -> bool:

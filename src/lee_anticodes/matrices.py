@@ -9,15 +9,15 @@ module equality, deduplication, and counting reliable. A row with pivot p^v
 has additive order p^s / p^v (`_pivot_orders`, read by `span_size` and
 `enumerate_elements`), and membership reduction divides by the pivot.
 
-The systematic form is a second normal form, reached by full pivoting on a
-globally minimal valuation entry at each step. Its diagonal consists of
-pivots p^{v_1}, ..., p^{v_K} with nondecreasing valuations, and those
-valuations read off the module's subtype: the span is isomorphic to a direct
-sum of cyclic modules p^{v_i} R. Howell pivots cannot be used for that
-purpose: span{(3,1)} over Z/9 has Howell form {(3,1),(0,3)} with two
+The subtype comes from a second reduction, full pivoting on an entry of
+globally minimal valuation at each step (`systematic_form`). Its pivots
+p^{v_1}, ..., p^{v_K} have nondecreasing valuations, and the span is
+isomorphic to the direct sum of the cyclic modules p^{v_i} R, so the
+valuations read off the module's subtype. Howell pivots cannot be used for
+that purpose: span{(3,1)} over Z/9 has Howell form {(3,1),(0,3)} with two
 non-unit pivots, yet the module is free of rank 1 with the single
-generator (3,1): after a column swap its unit entry is the systematic
-pivot, diagonal (0,), free rank 1, subtype (1,0).
+generator (3,1): full pivoting takes its unit entry 1 as the pivot, giving
+valuations (0,), free rank 1, subtype (1,0).
 
 `kernel` and `restrict` both take a left null space {x : x L = 0} from one
 Howell form of [L | I] (`_left_null_space`). The kernel has L = H^T. A code
@@ -272,104 +272,55 @@ def restrict(mat: ModMatrix, exponents) -> ModMatrix:
     return ModMatrix(params, mat.n, rows)
 
 
-@dataclass(frozen=True)
-class SystematicForm:
-    """Result of full pivoting: permuted generators in block triangular shape.
+def systematic_form(mat: ModMatrix) -> tuple[int, ...]:
+    """The pivot valuations v_1 <= ... <= v_K of full pivoting on the rows.
 
-    Position t of each row holds original column col_perm[t]. The leading
-    K x K block is upper triangular with diagonal p^{diag[0]}, ...,
-    p^{diag[K-1]}, diag nondecreasing; every entry of row i has valuation
-    at least diag[i], and entries above a diagonal pivot are reduced modulo
-    it, so equal-valuation rows form exact p^v I blocks.
+    Each step takes an entry of globally minimal valuation v, scales its row
+    by a unit so that the entry is exactly p^v, and clears that column from
+    the other rows; the quotients are exact, since no entry has valuation
+    below v. The row is then set aside: it generates a cyclic summand of
+    order p^{s-v}, and that summand meets the span of the remaining rows only
+    in 0, because they vanish in its pivot column and p^{s-v} kills the row.
+    So the span is the direct sum of the p^{v_i} R, whichever minimal entry
+    each step takes.
     """
-
-    params: ChainRingParams
-    n: int
-    col_perm: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-    diag: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.diag)
-
-    @property
-    def subtype(self) -> tuple[int, ...]:
-        return valuation_counts(self.diag, self.params.s)
-
-    @property
-    def free_rank(self) -> int:
-        return self.subtype[0]
-
-
-def systematic_form(mat: ModMatrix) -> SystematicForm:
-    """Full-pivot reduction with deterministic tie-breaking.
-
-    Each step selects a remaining entry of globally minimal valuation,
-    preferring the leftmost column and then the topmost row, swaps it to the
-    diagonal, unit-normalizes it to p^v, and eliminates its column in every
-    other row. The global-minimum choice keeps each elimination quotient an
-    exact division and keeps every later entry's valuation at least v, so
-    the diagonal valuations are nondecreasing and give the subtype.
-    """
-    params, n = mat.params, mat.n
-    p, m = params.p, params.modulus
-    rows = [list(row) for row in mat.rows if any(row)]
-    perm = list(range(n))
+    params = mat.params
+    m = params.modulus
+    rows = [row for row in mat.rows if any(row)]
     diag: list[int] = []
-    r = 0
-    while r < len(rows):
-        best = None
-        for i in range(r, len(rows)):
-            for j in range(r, n):
-                if rows[i][j]:
-                    key = (params.valuation(rows[i][j]), j, i)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            rows = rows[:r]
-            break
-        v, j, i = best
-        rows[r], rows[i] = rows[i], rows[r]
-        if j != r:
-            perm[r], perm[j] = perm[j], perm[r]
-            for row in rows:
-                row[r], row[j] = row[j], row[r]
-        rows[r] = _normalized(params, rows[r], r, v)
-        pivot = rows[r]
-        step = p**v
-        for i2 in range(len(rows)):
-            if i2 != r and rows[i2][r]:
-                q = rows[i2][r] // step
-                if q:
-                    rows[i2] = [(x - q * y) % m for x, y in zip(rows[i2], pivot)]
+    while rows:
+        v, i, j = min(
+            (params.valuation(x), i, j)
+            for i, row in enumerate(rows)
+            for j, x in enumerate(row)
+            if x
+        )
+        pivot = _normalized(params, rows.pop(i), j, v)
+        cleared = []
+        for row in rows:
+            q = row[j] // pivot[j]
+            if q:
+                row = [(x - q * y) % m for x, y in zip(row, pivot)]
+            if any(row):
+                cleared.append(row)
+        rows = cleared
         diag.append(v)
-        r += 1
-        rows = rows[:r] + [row for row in rows[r:] if any(row)]
-    return SystematicForm(params, n, tuple(perm), tuple(tuple(row) for row in rows), tuple(diag))
-
-
-def permute_columns(mat: ModMatrix, perm) -> ModMatrix:
-    """Reorder columns so position t holds original column perm[t]."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(mat.n)):
-        raise ValueError(f"not a permutation of 0..{mat.n - 1}: {perm}")
-    return ModMatrix(mat.params, mat.n, tuple(tuple(row[t] for t in perm) for row in mat.rows))
+    return tuple(diag)
 
 
 def subtype(mat: ModMatrix) -> tuple[int, ...]:
-    """(k_0, ..., k_{s-1}) with k_i the number of systematic pivots of valuation i."""
-    return systematic_form(mat).subtype
+    """(k_0, ..., k_{s-1}) with k_i the number of pivot valuations equal to i."""
+    return valuation_counts(systematic_form(mat), mat.params.s)
 
 
 def rank(mat: ModMatrix) -> int:
-    """Size of a minimal generating set: the number of systematic pivots."""
-    return systematic_form(mat).rank
+    """Size of a minimal generating set: the number of pivots."""
+    return len(systematic_form(mat))
 
 
 def free_rank(mat: ModMatrix) -> int:
-    """Number of unit pivots in the systematic form, k_0."""
-    return systematic_form(mat).free_rank
+    """Number of unit pivots, k_0."""
+    return systematic_form(mat).count(0)
 
 
 def parse_matrix(text: str) -> ModMatrix:

@@ -128,6 +128,33 @@ def test_lattice_chains_counts_without_enumerating(capsys, monkeypatch):
     assert status == 2 and "lattice size: 6188 exceeds cap 6187" in err
 
 
+def test_lattice_chains_lists_no_elements(capsys, monkeypatch):
+    def no_list(*args, **kwargs):
+        raise AssertionError("compositions listed")
+
+    monkeypatch.setattr(dominance, "compositions", no_list)
+    status, out, _ = run_cli(
+        capsys, "lattice", "--parts", "8", "--sum", "40", "chains", "--cap", "100000000"
+    )
+    assert status == 0
+    payload = json.loads(out)
+    assert (payload["count"], payload["length"]) == (dominance.maximal_chain_count(8, 40), 280)
+
+
+def test_lattice_hasse_lists_the_elements_once(capsys, monkeypatch):
+    calls = []
+    listed = dominance.compositions
+
+    def counted(*args):
+        calls.append(args)
+        return listed(*args)
+
+    monkeypatch.setattr(dominance, "compositions", counted)
+    status, out, _ = run_cli(capsys, "lattice", "--parts", "3", "--sum", "4", "hasse")
+    assert status == 0 and out.startswith("digraph")
+    assert calls == [(3, 4)]
+
+
 def test_code_analyze(capsys, code_file):
     status, out, _ = run_cli(capsys, "code", code_file, "analyze")
     assert status == 0

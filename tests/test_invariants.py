@@ -42,6 +42,13 @@ def test_gaussian_binomial_symmetry_and_recurrence():
                     ) + q**k * inv.gaussian_binomial(n - 1, k, q)
 
 
+def test_gaussian_binomial_and_bracket_at_long_lengths():
+    assert inv.gaussian_binomial(1500, 1, 2) == 2**1500 - 1
+    count = inv.chain_bracket((1500, 0), (1497, 3), 3)
+    assert count > 0
+    assert count * 2 * 8 * 26 == (3**1500 - 1) * (3**1499 - 1) * (3**1498 - 1)
+
+
 def test_chain_bracket_values():
     assert inv.chain_bracket((1, 1, 1), (0, 1, 2), 3) == 4
     assert inv.chain_bracket((0, 2, 1), (0, 1, 2), 3) == 4

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from lee_anticodes.anticodes import Anticode
 from lee_anticodes.codes import Code
 from lee_anticodes.errors import CapExceeded
 from lee_anticodes.matrices import ModMatrix
-from lee_anticodes.oracle import span_elements
+from lee_anticodes.oracle import span_elements, subtype_from_elements
 from lee_anticodes.ring import ChainRingParams
 
 Z9 = ChainRingParams(3, 2)
@@ -147,27 +148,22 @@ def test_enumerate_elements_cap():
 
 
 def test_systematic_form_unit_pivot():
-    sf = mx.systematic_form(ModMatrix(Z9, 3, ((2, 1, 0),)))
-    assert sf.col_perm == (0, 1, 2)
-    assert sf.rows == ((1, 5, 0),)
-    assert sf.diag == (0,)
-    assert sf.subtype == (1, 0)
+    mat = ModMatrix(Z9, 3, ((2, 1, 0),))
+    assert mx.systematic_form(mat) == (0,)
+    assert mx.subtype(mat) == (1, 0)
 
 
 def test_systematic_form_column_swap():
-    sf = mx.systematic_form(ModMatrix(Z9, 2, ((3, 1),)))
-    assert sf.col_perm == (1, 0)
-    assert sf.rows == ((1, 3),)
-    assert sf.subtype == (1, 0)
-    assert sf.free_rank == 1
+    mat = ModMatrix(Z9, 2, ((3, 1),))
+    assert mx.systematic_form(mat) == (0,)
+    assert mx.free_rank(mat) == 1
 
 
 def test_systematic_form_spans_permuted_module():
     mat = ModMatrix(Z9, 3, ((1, 2, 1), (0, 3, 0), (3, 0, 6)))
-    sf = mx.systematic_form(mat)
-    permuted = mx.permute_columns(mat, sf.col_perm)
-    assert mx.howell_form(ModMatrix(Z9, 3, sf.rows)) == mx.howell_form(permuted)
-    assert list(sf.diag) == sorted(sf.diag)
+    diag = mx.systematic_form(mat)
+    assert list(diag) == sorted(diag)
+    assert math.prod(9 // 3**v for v in diag) == mx.span_size(mat)
 
 
 def test_subtype_examples():
@@ -190,11 +186,27 @@ def test_subtype_matches_span_size(mat):
     assert predicted == mx.span_size(mat)
 
 
-def test_permute_columns_validation():
-    mat = ModMatrix(Z9, 3, ((1, 2, 0),))
-    assert mx.permute_columns(mat, (2, 0, 1)).rows == ((0, 1, 2),)
-    with pytest.raises(ValueError):
-        mx.permute_columns(mat, (0, 0, 1))
+@st.composite
+def generator_rows(draw):
+    """Rows over Z/8, Z/9 or Z/27 with entries p^e u, mostly non-units, in no
+    normal form, so that spans of one size but different subtypes, such as
+    (1, 0) and (0, 2) over Z/9, both occur."""
+    params = draw(st.sampled_from((ChainRingParams(2, 3), Z9, ChainRingParams(3, 3))))
+    n = draw(st.integers(1, 3))
+    entry = st.builds(
+        lambda e, u: params.p**e * u, st.integers(0, params.s), st.integers(1, params.modulus)
+    )
+    rows = draw(st.lists(st.tuples(*[entry] * n), max_size=4))
+    return ModMatrix(params, n, tuple(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_rows())
+@example(ModMatrix(Z9, 2, ((3, 1),)))
+@example(ModMatrix(Z9, 2, ((3, 6), (6, 0))))
+def test_subtype_matches_element_set_oracle(mat):
+    elems = span_elements(mat.params, mat.n, mat.rows)
+    assert mx.subtype(mat) == subtype_from_elements(mat.params, elems)
 
 
 def test_module_sum():
