@@ -170,10 +170,12 @@ def _intersection_cached(code: Code, anticode: ac.Anticode) -> Code:
     return Code(matrices.restrict(code.gen, anticode.exponents))
 
 
-# Nothing in the package calls _subcode_stats or matrices.submodule_census,
-# and only binomial_moment_single, reached by tests and perfbench/spans.py,
-# calls _intersection_cached. spans.py wraps the census and reads both
-# caches' cache_info(), so all stay until the benchmark drops them.
+# Nothing in the package calls _subcode_stats, and only
+# binomial_moment_single, reached by tests and perfbench/spans.py, calls
+# _intersection_cached. matrices.submodule_census is the digest list of the
+# oracle's element-set census, kept only because spans.py wraps it; spans.py
+# also reads both caches' cache_info(), so all stay until the benchmark
+# drops them.
 @lru_cache(maxsize=None)
 def _subcode_stats(code: Code, cap: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(rank, hull exponents) for every submodule of the given code, by census."""

@@ -90,10 +90,6 @@ def _vec_add(m: int, a, b) -> tuple[int, ...]:
     return tuple((x + y) % m for x, y in zip(a, b))
 
 
-def _vec_scale(m: int, c: int, a) -> tuple[int, ...]:
-    return tuple((c * x) % m for x in a)
-
-
 def _normalized(params: ChainRingParams, row: list[int], j: int, v: int) -> list[int]:
     """Scale the row by a unit so entry j becomes exactly p^v."""
     m = params.modulus
@@ -350,43 +346,9 @@ def format_matrix(mat: ModMatrix) -> str:
 
 
 def submodule_census(mat: ModMatrix, cap: int = 3**7) -> list[ModMatrix]:
-    """All submodules of the row span, as canonical Howell forms.
+    """All submodules of the row span, as canonical Howell forms: the digests
+    of the element-set census `oracle.enumerate_submodules`, in its order (by
+    size, then rows). The cap bounds the span size, not the census length."""
+    from . import oracle  # oracle imports this module
 
-    Breadth-first closure under index-p extensions: every submodule N admits
-    a composition series whose steps adjoin an x with p*x already inside, so
-    extending each known module M by every such x reaches everything. For a
-    fixed M the extension candidates generating one child differ by an
-    element of that child, so removing each new child's elements from the
-    candidate list builds every edge (M, child) exactly once. The cap bounds
-    the span size, not the census length.
-    """
-    params, n = mat.params, mat.n
-    p, m = params.p, params.modulus
-    guard_cap(span_size(mat), cap, "submodule census base module")
-    universe = list(enumerate_elements(mat, cap))
-    zero = ModMatrix.zero(params, n)
-    found: dict[tuple, tuple[ModMatrix, frozenset]] = {
-        zero.rows: (zero, frozenset([(0,) * n]))
-    }
-    todo = [zero.rows]
-    while todo:
-        base, elems = found[todo.pop()]
-        queue = [x for x in universe if x not in elems and _vec_scale(m, p, x) in elems]
-        while queue:
-            x = queue[0]
-            child_elems = set(elems)
-            shift = x
-            for _ in range(p - 1):
-                child_elems.update(_vec_add(m, e, shift) for e in elems)
-                shift = _vec_add(m, shift, x)
-            child_elems = frozenset(child_elems)
-            child = howell_form(ModMatrix(params, n, base.rows + (x,)))
-            if span_size(child) != len(child_elems):
-                raise AssertionError("howell span size disagrees with element count")
-            if child.rows not in found:
-                found[child.rows] = (child, child_elems)
-                todo.append(child.rows)
-            queue = [y for y in queue if y not in child_elems]
-    mods = [entry[0] for entry in found.values()]
-    mods.sort(key=lambda mm: (span_size(mm), mm.rows))
-    return mods
+    return [entry.mat for entry in oracle.enumerate_submodules(mat, cap).entries]

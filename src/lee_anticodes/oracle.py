@@ -4,11 +4,13 @@ Everything here is intentionally naive and element-based so it can serve as
 an independent check of the closed forms and canonical algorithms: modules
 are manipulated as explicit element sets, subtypes are read off the sizes
 of the multiplication-by-p filtration, posets are handled by definition.
-The only machinery shared with the main modules is ring arithmetic and the
-Howell canonicalization used for digests. A census takes each module's
-digest from the few extension elements that built it, not from all its
-elements, and checks that the digest spans exactly the module's element
-set every time a census is built.
+The only machinery shared with the main modules is ring arithmetic, the
+Howell canonicalization used for digests, and the span size that a census
+checks against its cap before it builds any element. A census takes each
+module's digest from the few extension elements that built it, not from all
+its elements, and checks that the digest spans exactly the module's element
+set every time a census is built. `matrices.submodule_census` is this
+census's list of digests.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import accumulate, product
 from .anticodes import Anticode, exponent_vectors
 from .codes import Code
 from .errors import InternalCheckError, guard_cap
-from .matrices import ModMatrix, howell_form
+from .matrices import ModMatrix, howell_form, span_size
 from .ring import ChainRingParams
 
 DEFAULT_CENSUS_CAP = 3**6
@@ -106,8 +108,8 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
     """
     params, n = mat.params, mat.n
     p, m = params.p, params.modulus
+    guard_cap(span_size(mat), cap, "submodule census")
     parent = span_elements(params, n, mat.rows)
-    guard_cap(len(parent), cap, "submodule census")
     universe = sorted(parent)
     times_p = [tuple((p * t) % m for t in x) for x in universe]
     zero = frozenset({(0,) * n})

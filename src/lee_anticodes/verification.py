@@ -9,8 +9,11 @@ verify_invariants reads every subcode count off the one element-set census
 of R^n that oracle.enumerate_submodules builds for the suite (see
 _subcode_floors); no Howell-form census or module intersection enters that
 reference. Containment between census entries is tested once per pair
-(_census_inside). verify_lattice counts maximal chains as cover paths of the
-poset oracle, top down, and enumerates no chain.
+(_census_inside). verify_anticodes reads each census code's maximum weight in
+every metric off one pass over its element set, so no codeword is enumerated
+through Code, and takes each anticode's element set from the census entry
+whose digest is the anticode's module. verify_lattice counts maximal chains
+as cover paths of the poset oracle, top down, and enumerates no chain.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from . import matrices, oracle
 from .codes import Code
 from .errors import InternalCheckError
 from .matrices import ModMatrix
-from .ring import ChainRingParams
+from .ring import METRICS, ChainRingParams, vector_weight
 
 
 @dataclass(frozen=True)
@@ -306,31 +309,28 @@ def _vector_in_anticode(params: ChainRingParams, vec, anticode: ac.Anticode) -> 
 
 def verify_anticodes(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP):
     params = ChainRingParams(p, s)
-    _census, codes = _census_codes(params, n, cap)
+    census, codes = _census_codes(params, n, cap)
     all_anticodes = oracle.enumerate_anticodes(n, params)
     comps = comp.compositions(s + 1, n)
+    # Each code's maximum weight in every metric, from one pass over its
+    # census element set.
+    maxima = []
+    for entry in census.entries:
+        weights = [[vector_weight(params, x, m) for m in METRICS] for x in entry.elements]
+        maxima.append(dict(zip(METRICS, map(max, zip(*weights)))))
 
-    def check_hamming_bound():
-        for c in codes:
-            if c.max_weight("hamming") < ac.hamming_bound(c.rank):
-                return f"hamming bound fails for {c.gen.rows}"
-        return None
+    def run_bound_check(metric, bound):
+        def check():
+            for c, weights in zip(codes, maxima):
+                if weights[metric] < ac.weight_bound(c, metric):
+                    return f"{bound} bound fails for {c.gen.rows}"
+            return None
 
-    def check_hom_bound():
-        for c in codes:
-            if c.max_weight("hom") < ac.hom_bound_scaled(c.rank, params):
-                return f"homogeneous bound fails for {c.gen.rows}"
-        return None
-
-    def check_lee_bound():
-        for c in codes:
-            if c.max_weight("lee") < ac.lee_bound(c.subtype, params):
-                return f"lee bound fails for {c.gen.rows}"
-        return None
+        return _run(f"{bound} bound holds on the census", check)
 
     def check_lee_characterization():
-        for c in codes:
-            weight_route = c.max_weight("lee") == ac.lee_bound(c.subtype, params)
+        for c, weights in zip(codes, maxima):
+            weight_route = weights["lee"] == ac.weight_bound(c, "lee")
             structure_route = c.size == ac.hull(c).size
             if weight_route != structure_route:
                 return (
@@ -349,10 +349,13 @@ def verify_anticodes(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CA
         return None
 
     def check_containment():
-        spans = {
-            A.exponents: oracle.span_elements(params, n, A.module().rows)
-            for A in all_anticodes
-        }
+        # Each anticode's element set is the census entry with its digest.
+        by_digest = {entry.mat: entry.elements for entry in census.entries}
+        spans = {}
+        for A in all_anticodes:
+            spans[A.exponents] = by_digest.get(A.module())
+            if spans[A.exponents] is None:
+                return f"anticode {A.exponents} is not a census module"
         for A in all_anticodes:
             for B in all_anticodes:
                 if ac.contains(A, B) != (spans[B.exponents] <= spans[A.exponents]):
@@ -386,13 +389,13 @@ def verify_anticodes(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CA
         return None
 
     results = [
-        _run("hamming bound holds on the census", check_hamming_bound),
-        _run("homogeneous bound holds on the census", check_hom_bound),
+        run_bound_check("hamming", "hamming"),
+        run_bound_check("hom", "homogeneous"),
     ]
     if p != 2:
         results.extend(
             [
-                _run("lee bound holds on the census", check_lee_bound),
+                run_bound_check("lee", "lee"),
                 _run("lee optimality routes agree everywhere", check_lee_characterization),
                 _run("every family member is lee-optimal", check_families_optimal),
             ]

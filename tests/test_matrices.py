@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lee_anticodes import invariants as inv
 from lee_anticodes import matrices as mx
+from lee_anticodes import oracle
 from lee_anticodes.anticodes import Anticode
 from lee_anticodes.codes import Code
 from lee_anticodes.errors import CapExceeded
@@ -301,9 +302,23 @@ def test_submodule_census_size():
     assert len({m.rows for m in census}) == 23
 
 
-def test_submodule_census_cap():
+def test_submodule_census_cap(monkeypatch):
+    def no_elements(*args, **kwargs):
+        raise AssertionError("an element set was built")
+
+    monkeypatch.setattr(oracle, "span_elements", no_elements)
     with pytest.raises(CapExceeded):
         mx.submodule_census(ModMatrix.full(Z9, 2), cap=10)
+
+
+def test_submodule_census_is_the_oracle_census_digests():
+    for mat in (
+        ModMatrix.full(Z9, 2),
+        ModMatrix.full(ChainRingParams(2, 2), 3),
+        ModMatrix(Z9, 3, ((3, 0, 1), (0, 3, 0))),
+    ):
+        entries = oracle.enumerate_submodules(mat, 3**7).entries
+        assert mx.submodule_census(mat) == [entry.mat for entry in entries]
 
 
 def test_mixed_space_operations_rejected():

@@ -2,6 +2,7 @@ from itertools import accumulate
 
 import pytest
 
+from lee_anticodes import cli
 from lee_anticodes import matrices as mx
 from lee_anticodes import oracle
 from lee_anticodes.errors import CapExceeded, InternalCheckError
@@ -80,6 +81,18 @@ def test_census_rejects_a_digest_that_spans_too_little(monkeypatch):
 def test_enumerate_submodules_cap():
     with pytest.raises(CapExceeded):
         oracle.enumerate_submodules(ModMatrix.full(Z9, 2), cap=10)
+
+
+def test_census_cap_is_checked_before_any_element_is_built(monkeypatch, capsys):
+    def no_elements(*args, **kwargs):
+        raise AssertionError("an element set was built")
+
+    monkeypatch.setattr(oracle, "span_elements", no_elements)
+    with pytest.raises(CapExceeded, match="submodule census: 81 exceeds cap 10"):
+        oracle.enumerate_submodules(ModMatrix.full(Z9, 2), cap=10)
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    assert cli.main(["verify", "counting", "--p", "13", "--s", "2", "--n", "4"]) == 2
+    assert "submodule census: 815730721 exceeds cap" in capsys.readouterr().err
 
 
 def test_poset_oracle_basics():

@@ -132,6 +132,14 @@ PLANTED = {
         ChainRingParams, "ideal_max_lee", _off_by_one, "anticodes",
         "lee bound holds on the census",
     ),
+    "hamming_bound": (
+        ac, "hamming_bound", _off_by_one, "anticodes",
+        "hamming bound holds on the census",
+    ),
+    "hom_bound_scaled": (
+        ac, "hom_bound_scaled", _off_by_one, "anticodes",
+        "homogeneous bound holds on the census",
+    ),
 }
 
 
@@ -144,6 +152,35 @@ def test_planted_fault_fails_its_check(fault, monkeypatch, capsys):
     monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
     assert cli.main(["verify", scope, "--format", "text"]) == 3
     assert f"FAIL {name}:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p", [3, 2])
+def test_verify_anticodes_enumerates_no_codeword(p, monkeypatch):
+    def no_codewords(*args, **kwargs):
+        raise AssertionError("a codeword was enumerated")
+
+    monkeypatch.setattr(Code, "codewords", no_codewords)
+    results = vf.verify_anticodes(p, 2, 2)
+    assert [r.name for r in results if not r.passed] == []
+    assert len(results) == (9 if p == 3 else 6)
+
+
+def test_anticode_outside_the_census_fails_containment(monkeypatch, capsys):
+    # The same module, but its rows reversed, which is not a Howell form.
+    module = ac.Anticode.module
+
+    def reversed_rows(self):
+        mat = module(self)
+        return ModMatrix(mat.params, mat.n, mat.rows[::-1])
+
+    monkeypatch.setattr(ac.Anticode, "module", reversed_rows)
+    name = "containment agrees with module inclusion"
+    results = {r.name: r for r in vf.verify_anticodes(3, 2, 2)}
+    assert not results[name].passed
+    assert results[name].detail == "anticode (0, 0) is not a census module"
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    assert cli.main(["verify", "anticodes", "--format", "text"]) == 3
+    assert f"FAIL {name}: anticode (0, 0)" in capsys.readouterr().out
 
 
 def test_verify_invariants_builds_each_table_once(monkeypatch):
