@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage or input error, 2 enumeration cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,7 +38,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared after it:
+    parsing keeps no state in it, and every call of `main` needs it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",

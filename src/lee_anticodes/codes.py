@@ -23,10 +23,13 @@ class Code:
     gen: ModMatrix
     subtype: tuple[int, ...] = field(init=False)
     support_subtype: tuple[int, ...] = field(init=False)
+    # Read once per code by contains_vector, which reduces many vectors.
+    pivot_columns: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         canonical = matrices.howell_form(self.gen)
         object.__setattr__(self, "gen", canonical)
+        object.__setattr__(self, "pivot_columns", matrices.pivot_columns(canonical))
         object.__setattr__(self, "subtype", matrices.subtype(canonical))
         bins = self.params.s + 1
         support = matrices.valuation_counts(column_valuations(canonical), bins)
@@ -90,7 +93,7 @@ class Code:
         """Membership by reduction against the generator, a Howell form already."""
         if len(vec) != self.n:
             raise ValueError(f"vector length {len(vec)} != {self.n}")
-        return not any(matrices._residue(vec, self.gen))
+        return not any(matrices._residue(vec, self.gen, self.pivot_columns))
 
     def max_weight(self, metric: str, cap: int = DEFAULT_ENUM_CAP) -> int:
         return max(vector_weight(self.params, w, metric) for w in self.codewords(cap))

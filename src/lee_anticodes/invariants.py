@@ -29,9 +29,13 @@ largest r with ghw_r <= n - a_s, and every R-weight quantity comes from
 the generalized Hamming weights (Wei 1991, in the anticode form of
 Ravagnani 2016): the minimal set for r is the one shape
 (0, ..., 0, ghw_r, n - ghw_r), which is also d_r. The weights themselves
-come from one walk over the free shapes (m, 0, ..., 0, n-m), a chain, that
-reads the rank of matrices.restrict at each exponent vector of each shape;
-it builds no Code or Anticode, keeps no cache and never enumerates C.
+come from one walk over the free shapes (m, 0, ..., 0, n-m), a chain, on
+the socle soc(C) = C cap p^(s-1)R^n, one matrices.restrict per code whose
+entries divided by p^(s-1) give an F_p matrix G of rank K = rank(C). For A
+of a free shape, A[p] vanishes on a set T of n - m coordinates, so
+rank(C cap A) = K - rank_p(G[:, T]): the walk is F_p elimination on column
+subsets of G (Wei 1991; Horimoto-Shiromoto 2001 over chain rings). It
+builds no Code or Anticode, keeps no cache and never enumerates C.
 Each quantity is computed one way here; `verification.verify_invariants`
 checks it against the element-set census of submodules, the double
 enumeration of pairs and both identities.
@@ -191,7 +195,7 @@ def _bracket_moments(ext, q: int, jmax: int) -> list[int]:
     the sums of chain_bracket(ext, b) over the b with b_s = n - j."""
     n, s = sum(ext), len(ext) - 1
     row = [0] * (jmax + 1)
-    for b in compositions(s + 1, n):
+    for b in _shapes(n, s):
         if n - b[s] <= jmax:
             row[n - b[s]] += chain_bracket(ext, b, q)
     return row
@@ -209,7 +213,12 @@ def _grid(n: int, s: int, step, start) -> list:
     return cells
 
 
-def _chain_steps(n: int, s: int) -> list[tuple[int, int]]:
+# The grids below and the composition list depend only on (n, s), so each
+# is built once per process; a session meets few lengths and rings.
+
+
+@lru_cache(maxsize=8)
+def _chain_steps(n: int, s: int) -> tuple[tuple[int, int], ...]:
     """(lo, hi) for each coordinate t, each run of cells sharing e_0..e_(t-1)
     and each d < s, ascending: the cells [lo, hi) have e_t = d, and the
     hi - lo cells from hi on are the same cells with e_t = d + 1."""
@@ -218,7 +227,30 @@ def _chain_steps(n: int, s: int) -> list[tuple[int, int]]:
         width = (s + 1) ** (n - 1 - t)
         for base in range(0, (s + 1) ** n, width * (s + 1)):
             out.extend((base + d * width, base + (d + 1) * width) for d in range(s))
-    return out
+    return tuple(out)
+
+
+@lru_cache(maxsize=8)
+def _clamped_cells(n: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """For i = 0..s, the index of the cell max(e, s - i) of each cell e."""
+    return tuple(
+        tuple(_grid(n, s, lambda x, d, floor=s - i: x * (s + 1) + max(d, floor), 0))
+        for i in range(s + 1)
+    )
+
+
+@lru_cache(maxsize=8)
+def _cell_shapes(n: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """The shape of each cell: its digit counts (a_0, ..., a_s)."""
+    return tuple(
+        _grid(n, s, lambda a, d: a[:d] + (a[d] + 1,) + a[d + 1 :], (0,) * (s + 1))
+    )
+
+
+@lru_cache(maxsize=8)
+def _shapes(n: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """The weak compositions of n into s + 1 parts, in linear extension order."""
+    return tuple(compositions(s + 1, n))
 
 
 def _suffix_sums(grid: list[int], n: int, s: int) -> list[int]:
@@ -274,13 +306,9 @@ def _meet_subtypes(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int,
         logs = [log_p[size] for size in _suffix_sums(sizes, n, s)]
     except KeyError as exc:
         raise InternalCheckError(f"|C cap A| = {exc.args[0]} is no power of {p}") from None
-    clamped = [
-        _grid(n, s, lambda x, d, floor=s - i: x * (s + 1) + max(d, floor), 0)
-        for i in range(s + 1)
-    ]
     by_levels: dict = {}
     out = []
-    for levels in zip(*([logs[c] for c in cells] for cells in clamped)):
+    for levels in zip(*([logs[c] for c in cells] for cells in _clamped_cells(n, s))):
         if levels not in by_levels:
             by_levels[levels] = _subtype_from_sizes(levels, n)
         out.append(by_levels[levels])
@@ -336,7 +364,7 @@ def _dominated_sum(entries: dict, rank: int, a, coefficient, label: str) -> list
     a = check_composition(a)
     ah = prefix_sums(a)
     row = [0] * (rank + 1)
-    for b in compositions(len(a), sum(a)):
+    for b in _shapes(sum(a), len(a) - 1):
         if _below(prefix_sums(b), ah):
             coeff = coefficient(b, a)
             for j in range(rank + 1):
@@ -382,19 +410,63 @@ def r_weight(code: Code) -> tuple[tuple[int, ...], ...]:
 def r_weight_free(code: Code) -> tuple[tuple[int, ...], ...]:
     """Like r_weight, over the free shapes (m, 0, ..., 0, n-m) only: a chain,
     walked in m until its family rank, the largest rank(C cap A) over the
-    exponent vectors of the shape, reaches rank(C)."""
-    s, n, gen = code.params.s, code.n, code.gen
+    exponent vectors of the shape, reaches rank(C).
+
+    Such an A has A[p] = p^(s-1)R on m coordinates and 0 on the other
+    n - m, a set T, so rank(C cap A) = dim (soc(C) cap A[p]) is K minus the
+    F_p rank of the columns T of the socle matrix G, and the family rank
+    is K minus the least rank of n - m columns of G.
+    """
+    p, s, n, k = code.params.p, code.params.s, code.n, code.rank
+    unit = p ** (s - 1)
+    socle = matrices.restrict(code.gen, (s - 1,) * n)
+    basis = _basis_mod_p(([x // unit for x in row] for row in socle.rows), p)
+    if len(basis) != k:
+        raise InternalCheckError(
+            f"socle of F_p rank {len(basis)} for a code of rank {k}: {code.gen.rows}"
+        )
+    columns = [tuple(row[t] for row in basis) for t in range(n)]
     out: list = []
     for m in range(n + 1):
         a = (m,) + (0,) * (s - 1) + (n - m,)
-        vectors = ac.exponent_vectors(a)
-        rank = max(matrices.rank(matrices.restrict(gen, e)) for e in vectors)
-        out.extend([a] * (min(rank, code.rank) - len(out)))
-        if len(out) == code.rank:
-            return tuple(out)
-    raise InternalCheckError(
-        f"no free shape admits rank {len(out) + 1}; code rank {code.rank}"
-    )
+        least = _least_rank(columns, n - m, p, floor=max(0, k - m))
+        out.extend([a] * (k - least - len(out)))
+        if len(out) == k:
+            break
+    return tuple(out)
+
+
+def _basis_mod_p(vectors, p: int, stop: int | None = None) -> list[list[int]]:
+    """An echelon basis over F_p of the span of the vectors, taken one at a
+    time, each basis vector 1 at its own pivot and 0 at the pivots before
+    it; with `stop`, it returns once it has that many vectors."""
+    basis: list[tuple[int, list[int]]] = []
+    for vec in vectors:
+        vec = list(vec)
+        for j, b in basis:
+            c = vec[j]
+            if c:
+                vec = [(x - c * y) % p for x, y in zip(vec, b)]
+        j = next((i for i, x in enumerate(vec) if x), None)
+        if j is not None:
+            inv = pow(vec[j], -1, p)
+            basis.append((j, [inv * x % p for x in vec]))
+            if len(basis) == stop:
+                break
+    return [b for _, b in basis]
+
+
+def _least_rank(columns, size: int, p: int, floor: int) -> int:
+    """The least F_p rank of `size` of the columns, or `floor`, a lower bound
+    on it, as soon as some subset reaches it."""
+    least = None
+    for subset in itertools.combinations(columns, size):
+        rank = len(_basis_mod_p(subset, p, least))
+        if least is None or rank < least:
+            least = rank
+            if least <= floor:
+                break
+    return least
 
 
 def ghw(code: Code) -> tuple[int, ...]:
@@ -436,8 +508,8 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
         if ext not in rows_by_ext:
             rows_by_ext[ext] = _bracket_moments(ext, params.p, jmax)
         b_cells.append(rows_by_ext[ext])
-    shapes = _grid(n, s, lambda a, d: a[:d] + (a[d] + 1,) + a[d + 1 :], (0,) * (s + 1))
-    keys = [(a, j) for a in compositions(s + 1, n) for j in range(jmax + 1)]
+    shapes = _cell_shapes(n, s)
+    keys = [(a, j) for a in _shapes(n, s) for j in range(jmax + 1)]
     moments = dict.fromkeys(keys, 0)
     weights = dict.fromkeys(keys, 0)
     for j, column in enumerate(zip(*b_cells)):
@@ -459,7 +531,7 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
 def table_json_dict(table: InvariantTable) -> dict:
     """JSON-ready mirror of the table with deterministic entry order."""
     entries = []
-    for a in compositions(table.params.s + 1, table.n):
+    for a in _shapes(table.n, table.params.s):
         for j in range(table.rank + 1):
             entries.append(
                 {

@@ -7,7 +7,8 @@ leading coordinates vanish lies in the span of the trailing rows. Two row
 sets span the same module iff their Howell forms are identical, which makes
 module equality, deduplication, and counting reliable. A row with pivot p^v
 has additive order p^s / p^v (`_pivot_orders`, read by `span_size` and
-`enumerate_elements`), and membership reduction divides by the pivot.
+`enumerate_elements`), and membership reduction divides by the pivot, at
+the pivot columns a `Code` reads once (`pivot_columns`).
 
 The subtype comes from a second reduction, full pivoting on an entry of
 globally minimal valuation at each step (`systematic_form`). Its pivots
@@ -23,11 +24,11 @@ valuations (0,), free rank 1, subtype (1,0).
 Howell form of [L | I] (`_left_null_space`). The kernel has L = H^T. A code
 met with an anticode, C cap prod_t <p^{e_t}>, has L = H diag(p^{s-e_t}): the
 x are the coefficient vectors with x H in the anticode. The R-weight walk
-of `invariants` reads the rank of `restrict` at each free exponent vector;
-the invariant table reads the subtypes of all (s+1)^n intersections off
-one enumeration of C instead. `module_intersect` meets two modules by duality,
-through kernels, at about nine Howell forms; it is the reference the tests
-hold `restrict` to.
+of `invariants` takes one `restrict`, the socle C cap p^{s-1}R^n, and ranks
+column subsets of it over F_p; the table reads the subtypes of all (s+1)^n
+intersections off one enumeration of C. `module_intersect` meets two
+modules by duality, through kernels, at about nine Howell forms; it is the
+reference the tests hold `restrict` to.
 """
 
 from __future__ import annotations
@@ -161,11 +162,16 @@ def valuation_counts(values, bins: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def pivot_columns(H: ModMatrix) -> tuple[int, ...]:
+    """The pivot column of each row of a Howell form."""
+    return tuple(_first_nonzero(row) for row in H.rows)
+
+
 def _pivot_orders(H: ModMatrix) -> list[int]:
     """The additive order p^{s-v} of each row of a Howell form, whose pivot
     entries are exactly p^v."""
     m = H.params.modulus
-    return [m // row[_first_nonzero(row)] for row in H.rows]
+    return [m // row[j] for row, j in zip(H.rows, pivot_columns(H))]
 
 
 def span_size(mat: ModMatrix) -> int:
@@ -173,12 +179,12 @@ def span_size(mat: ModMatrix) -> int:
     return math.prod(_pivot_orders(howell_form(mat)))
 
 
-def _residue(vec, H: ModMatrix) -> list[int]:
-    """Reduce a vector against a Howell form; the residue is zero iff vec is in the span."""
+def _residue(vec, H: ModMatrix, pivots: tuple[int, ...]) -> list[int]:
+    """Reduce a vector against a Howell form with the given pivot columns;
+    the residue is zero iff vec is in the span."""
     m = H.params.modulus
     row = [int(x) % m for x in vec]
-    for piv in H.rows:
-        j = _first_nonzero(piv)
+    for j, piv in zip(pivots, H.rows):
         q = row[j] // piv[j]
         if q:
             row = [(x - q * y) % m for x, y in zip(row, piv)]

@@ -531,3 +531,35 @@ def test_outputs_are_deterministic(capsys, code_file, free_code_file):
         second = run_cli(capsys, *argv)
         assert first == second
         assert first[0] == 0
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch, code_file):
+    """main builds its parser once per process; each call in a sequence, a
+    refused one included, prints the bytes it prints in a process of its own."""
+    calls = [
+        ("lattice", "--parts", "3", "enum"),
+        ("lattice", "--parts", "3", "--sum", "3", "enum", "--cap", "5"),
+        ("lattice", "--parts", "3", "--sum", "3", "covers", "--format", "text"),
+        ("code", code_file, "analyze"),
+        ("invariants", code_file, "rweights", "--format", "csv"),
+        ("verify", "lattice", "--format", "text"),
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    env.pop(cli.CAP_ENV_VAR, None)
+    alone = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lee_anticodes.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [status for status, _, _ in alone] == [1, 2, 0, 0, 0, 0]
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    for _ in range(2):
+        assert [run_cli(capsys, *argv) for argv in calls] == alone
+    assert cli.build_parser() is cli.build_parser()

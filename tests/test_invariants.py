@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lee_anticodes import invariants as inv
 from lee_anticodes import matrices, oracle
-from lee_anticodes.anticodes import Anticode, family, family_size, hull
+from lee_anticodes.anticodes import Anticode, exponent_vectors, family, family_size, hull
 from lee_anticodes.codes import Code
 from lee_anticodes.dominance import compositions, dominance_leq
 from lee_anticodes.ring import ChainRingParams
@@ -228,6 +228,86 @@ def test_grid_subtypes_match_restriction(p, s, n):
             assert ext == Code(matrices.restrict(code.gen, e)).extended_subtype, (
                 code.gen.rows, e,
             )
+
+
+def _free_shape(m: int, s: int, n: int) -> tuple[int, ...]:
+    return (m,) + (0,) * (s - 1) + (n - m,)
+
+
+@pytest.mark.parametrize(
+    "p, s, n", [(3, 2, 3), (2, 3, 2), (2, 1, 4), (2, 2, 3), (5, 2, 2), (3, 3, 2)]
+)
+def test_socle_walk_matches_element_set_supports(p, s, n, ghw_by_elements):
+    """On every code of (Z/9)^3, (Z/8)^2, F_2^4, (Z/4)^3, (Z/25)^2 and
+    (Z/27)^2, the m of the r-th free R-weight is the least Hamming support
+    of a rank-r subcode in the element-set census."""
+    for code in oracle.enumerate_codes(n, ChainRingParams(p, s)):
+        want = tuple(_free_shape(m, s, n) for m in ghw_by_elements(code))
+        assert inv.r_weight_free(code) == want, code.gen.rows
+
+
+def _free_walk_by_restriction(code: Code) -> tuple[tuple[int, ...], ...]:
+    """The free R-weights by definition: the family rank of each free shape
+    is the largest rank(C cap A) over its exponent vectors, one restriction
+    over Z/p^s each."""
+    s, n = code.params.s, code.n
+    out: list = []
+    for m in range(n + 1):
+        a = _free_shape(m, s, n)
+        rank = max(
+            matrices.rank(matrices.restrict(code.gen, e)) for e in exponent_vectors(a)
+        )
+        out.extend([a] * (rank - len(out)))
+    return tuple(out)
+
+
+@st.composite
+def random_codes(draw):
+    """A code of length up to 7 from up to four random rows, each scaled by
+    a random power of p so that non-free subtypes are common."""
+    p, s = draw(
+        st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)])
+    )
+    params = ChainRingParams(p, s)
+    n = draw(st.integers(1, 7))
+    rows = [
+        tuple(
+            p ** draw(st.integers(0, s)) * draw(st.integers(0, params.modulus - 1))
+            for _ in range(n)
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return Code.from_rows(params, n, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_codes())
+def test_socle_walk_matches_restriction_walk(code):
+    assert inv.r_weight_free(code) == _free_walk_by_restriction(code), code.gen.rows
+
+
+def test_socle_walk_restricts_once_per_code(monkeypatch):
+    """The walk, and with it the table, meets each code with its socle
+    anticode (s-1, ..., s-1) once and with no other anticode."""
+    codes = [
+        *oracle.enumerate_codes(2, Z9),
+        Code.from_rows(ChainRingParams(2, 3), 4, [(1, 2, 4, 0), (0, 2, 6, 4)]),
+        Code.from_rows(ChainRingParams(3, 1), 6, [(1, 1, 1, 1, 1, 1)]),
+    ]
+    calls = []
+    restrict = matrices.restrict
+
+    def counted(mat, exponents):
+        calls.append(tuple(exponents))
+        return restrict(mat, exponents)
+
+    monkeypatch.setattr(matrices, "restrict", counted)
+    for code in codes:
+        socle = [(code.params.s - 1,) * code.n]
+        for route in (inv.r_weight_free, inv.build_invariant_table):
+            calls.clear()
+            route(code)
+            assert calls == socle, (route.__name__, code.gen.rows)
 
 
 @pytest.mark.parametrize("p, s, n", CENSUSES)

@@ -154,6 +154,25 @@ def test_planted_fault_fails_its_check(fault, monkeypatch, capsys):
     assert f"FAIL {name}:" in capsys.readouterr().out
 
 
+def test_socle_missing_a_row_fails_the_tables_check(monkeypatch, capsys):
+    # Only the socle C cap p^(s-1)R^n loses a generator; every other
+    # restriction is left whole.
+    restrict = mx.restrict
+
+    def drops_a_socle_row(mat, exponents):
+        meet = restrict(mat, exponents)
+        if set(exponents) == {mat.params.s - 1}:
+            return ModMatrix(meet.params, meet.n, meet.rows[:-1])
+        return meet
+
+    monkeypatch.setattr(mx, "restrict", drops_a_socle_row)
+    tables = {r.name: r for r in vf.verify_invariants(3, 2, 2)}[TABLES]
+    assert not tables.passed and tables.detail.startswith("socle of F_p rank")
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    assert cli.main(["verify", "invariants", "--format", "text"]) == 3
+    assert f"FAIL {TABLES}: socle of F_p rank" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("p", [3, 2])
 def test_verify_anticodes_enumerates_no_codeword(p, monkeypatch):
     def no_codewords(*args, **kwargs):
