@@ -7,15 +7,17 @@ lexicographic order on prefix sums (dominance.linear_key).
 
 The binomial moment B(A, j) of a code C counts the rank-j subcodes of
 C cap A by chain_bracket sums over its extended subtype. The table reads
-that subtype off sizes alone: C is enumerated once into a histogram of
-valuation vectors, whose suffix sums along each coordinate give
-|C cap A_e| for all (s+1)^n anticodes A_e together, and
+that subtype off sizes alone: C is enumerated once, a coordinate at a
+time, into a histogram of valuation vectors, whose suffix sums along each
+coordinate give |C cap A_e| for all (s+1)^n anticodes A_e together, and
 (C cap A_e)[p^i] = C cap A_max(e, s-i) gives the subtype. The weight
 distribution W(A, j) counts those subcodes whose hull is exactly A: it is
 the Moebius inversion of B over the anticodes, a product of chains (Rota
 1964), taken as one difference pass per coordinate. The aggregates
-B_a^(j) and W_a^(j) sum over family(a); grouping the B count by the hull
-gives
+B_a^(j) and W_a^(j) sum over family(a). Each cell's B row is packed into
+one integer, one signed digit per rank j, wide enough for every partial
+difference and family sum, so one difference pass and one family loop
+serve every j. Grouping the B count by the hull gives
 
     B_a^(j) = sum over b dominated by a of W_b^(j) * count_containing(b, a)
 
@@ -271,6 +273,29 @@ def _differences(grid: list[int], n: int, s: int) -> list[int]:
     return grid
 
 
+def _pack(digits, width: int) -> int:
+    """sum_j digits[j] * 2^(j * width), exact for digits of any sign."""
+    out = 0
+    for d in reversed(digits):
+        out = (out << width) + d
+    return out
+
+
+def _unpack(packed: int, width: int, count: int) -> list[int]:
+    """The count signed digits of `_pack`, each of absolute value below
+    2^(width - 1): the lowest digit is the residue of packed modulo 2^width
+    nearest to 0, and the rest is packed less it, shifted down."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    out = []
+    for _ in range(count):
+        d = packed & mask
+        if d >= half:
+            d -= 1 << width
+        out.append(d)
+        packed = (packed - d) >> width
+    return out
+
+
 def _subtype_from_sizes(levels: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Extended subtype of a module M of R^n with g_i = log_p |M[p^i]| =
     levels[i], i = 0..s: k_0 + ... + k_m = g_(s-m) - g_(s-m-1), and
@@ -283,27 +308,36 @@ def _subtype_from_sizes(levels: tuple[int, ...], n: int) -> tuple[int, ...]:
     return ext
 
 
+def _cell_counts(code: Code, cap: int) -> list[int]:
+    """The number of codewords in each cell, the cell of a word being its
+    valuation vector (v_p(0) = s): the cell index is folded a coordinate at
+    a time over the columns of C's words, and no word is built."""
+    params, s = code.params, code.params.s
+    columns = matrices.element_columns(code.gen, cap)
+    # Over the entries that occur: p^s may be far larger than C.
+    val = {x: params.valuation(x) for x in set().union(*columns)}
+    cells = [0] * len(columns[0])
+    for col in columns:
+        cells = [c * (s + 1) + val[x] for c, x in zip(cells, col)]
+    counts = [0] * (s + 1) ** code.n
+    for cell in cells:
+        counts[cell] += 1
+    return counts
+
+
 def _meet_subtypes(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int, ...]]:
     """The extended subtype of C cap A_e for every cell e, from one pass over C.
 
-    Each codeword goes into the cell of its valuation vector (v_p(0) = s);
-    suffix sums then give |C cap A_e|, and (C cap A_e)[p^i] is
-    C cap A_max(e, s-i), so its size is read at the clamped cell.
+    Suffix sums of the cell counts (`_cell_counts`) give |C cap A_e|, and
+    (C cap A_e)[p^i] is C cap A_max(e, s-i), so its size is read at the
+    clamped cell.
     """
     params, n = code.params, code.n
     p, s = params.p, params.s
-    sizes = [0] * (s + 1) ** n
-    valuation: dict[int, int] = {}
-    for word in code.codewords(cap):
-        cell = 0
-        for x in word:
-            if x not in valuation:
-                valuation[x] = params.valuation(x)
-            cell = cell * (s + 1) + valuation[x]
-        sizes[cell] += 1
+    sizes = _suffix_sums(_cell_counts(code, cap), n, s)
     log_p = {p**k: k for k in range(s * n + 1)}
     try:
-        logs = [log_p[size] for size in _suffix_sums(sizes, n, s)]
+        logs = [log_p[size] for size in sizes]
     except KeyError as exc:
         raise InternalCheckError(f"|C cap A| = {exc.args[0]} is no power of {p}") from None
     by_levels: dict = {}
@@ -492,30 +526,42 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
     """Compute the full B/W tables and R-weight chains.
 
     Each anticode gets one B row, the bracket sums over the extended subtype
-    of C cap A (`_meet_subtypes`), computed once per distinct subtype. W is
-    the difference pass over the grid of B, one column j at a time, and one
-    pass keyed by the digit counts of e sums each family. The work is one
-    enumeration of C; a code with more than cap words, or a length with
-    more than cap anticodes, is refused before it starts.
+    of C cap A (`_meet_subtypes`), computed once per distinct subtype and
+    packed into one integer of rank + 1 signed digits (`_pack`). No digit
+    of a partial difference or family sum exceeds top * (2(s+1))^n in
+    absolute value, top the largest bracket entry: the difference pass adds
+    at most 2^n entries and a family at most (s+1)^n cells. So W is one
+    difference pass over the packed grid of B, one pass keyed by the digit
+    counts of e sums B and W over each family, and each sum is read back
+    digit by digit (`_unpack`). The work is one enumeration of C; a code
+    with more than cap words, or a length with more than cap anticodes, is
+    refused before it starts.
     """
     guard_cap(code.size, cap, "codeword enumeration")
     params, n = code.params, code.n
     s, jmax = params.s, code.rank
     guard_cap((s + 1) ** n, cap, "anticode count")
-    rows_by_ext: dict = {}
-    b_cells = []
-    for ext in _meet_subtypes(code, cap):
-        if ext not in rows_by_ext:
-            rows_by_ext[ext] = _bracket_moments(ext, params.p, jmax)
-        b_cells.append(rows_by_ext[ext])
-    shapes = _cell_shapes(n, s)
-    keys = [(a, j) for a in _shapes(n, s) for j in range(jmax + 1)]
-    moments = dict.fromkeys(keys, 0)
-    weights = dict.fromkeys(keys, 0)
-    for j, column in enumerate(zip(*b_cells)):
-        for a, b, w in zip(shapes, column, _differences(list(column), n, s)):
-            moments[(a, j)] += b
-            weights[(a, j)] += w
+    subtypes = _meet_subtypes(code, cap)
+    rows_by_ext = {
+        ext: _bracket_moments(ext, params.p, jmax) for ext in dict.fromkeys(subtypes)
+    }
+    top = max(abs(x) for row in rows_by_ext.values() for x in row)
+    width = (top * (2 * (s + 1)) ** n).bit_length() + 2
+    packed_by_ext = {ext: _pack(row, width) for ext, row in rows_by_ext.items()}
+    b_grid = [packed_by_ext[ext] for ext in subtypes]
+    b_sums = dict.fromkeys(_shapes(n, s), 0)
+    w_sums = dict(b_sums)
+    for a, b, w in zip(_cell_shapes(n, s), b_grid, _differences(list(b_grid), n, s)):
+        b_sums[a] += b
+        w_sums[a] += w
+    moments, weights = (
+        {
+            (a, j): x
+            for a, total in sums.items()
+            for j, x in enumerate(_unpack(total, width, jmax + 1))
+        }
+        for sums in (b_sums, w_sums)
+    )
     return InvariantTable(
         params=params,
         n=n,

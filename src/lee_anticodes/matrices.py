@@ -7,8 +7,12 @@ leading coordinates vanish lies in the span of the trailing rows. Two row
 sets span the same module iff their Howell forms are identical, which makes
 module equality, deduplication, and counting reliable. A row with pivot p^v
 has additive order p^s / p^v (`_pivot_orders`, read by `span_size` and
-`enumerate_elements`), and membership reduction divides by the pivot, at
-the pivot columns a `Code` reads once (`pivot_columns`).
+`element_columns`), and membership reduction divides by the pivot, at
+the pivot columns a `Code` reads once (`pivot_columns`). The span is listed
+a coordinate at a time (`element_columns`): one list per column, grown by
+one Howell row at a time, so that the invariant table, which folds the
+coordinates, builds no codeword; `enumerate_elements` reads those columns
+across as tuples.
 
 The subtype comes from a second reduction, full pivoting on an entry of
 globally minimal valuation at each step (`systematic_form`). Its pivots
@@ -26,9 +30,9 @@ met with an anticode, C cap prod_t <p^{e_t}>, has L = H diag(p^{s-e_t}): the
 x are the coefficient vectors with x H in the anticode. The R-weight walk
 of `invariants` takes one `restrict`, the socle C cap p^{s-1}R^n, and ranks
 column subsets of it over F_p; the table reads the subtypes of all (s+1)^n
-intersections off one enumeration of C. `module_intersect` meets two
-modules by duality, through kernels, at about nine Howell forms; it is the
-reference the tests hold `restrict` to.
+intersections off the columns of one enumeration of C. `module_intersect`
+meets two modules by duality, through kernels, at about nine Howell forms;
+it is the reference the tests hold `restrict` to.
 """
 
 from __future__ import annotations
@@ -85,10 +89,6 @@ def _first_nonzero(row) -> int | None:
         if x:
             return j
     return None
-
-
-def _vec_add(m: int, a, b) -> tuple[int, ...]:
-    return tuple((x + y) % m for x, y in zip(a, b))
 
 
 def _normalized(params: ChainRingParams, row: list[int], j: int, v: int) -> list[int]:
@@ -191,28 +191,30 @@ def _residue(vec, H: ModMatrix, pivots: tuple[int, ...]) -> list[int]:
     return row
 
 
-def enumerate_elements(mat: ModMatrix, cap: int = DEFAULT_ENUM_CAP):
-    """Yield every element of the row span exactly once.
+def element_columns(mat: ModMatrix, cap: int = DEFAULT_ENUM_CAP) -> list[list[int]]:
+    """For each coordinate t, coordinate t of every element of the row span.
 
-    Elements are formed as sums c_1 r_1 + ... + c_h r_h over the Howell rows
-    with 0 <= c_i < p^{s - v_i}; leading-term induction shows these hit each
-    span element once. Yield order is lexicographic in (c_1, ..., c_h).
+    Elements are the sums c_1 r_1 + ... + c_h r_h over the Howell rows with
+    0 <= c_i < p^{s - v_i}; leading-term induction shows these hit each span
+    element once. Each column is built one Howell row at a time, in
+    lexicographic order of (c_1, ..., c_h), and no element is formed.
     """
     m = mat.params.modulus
     H = howell_form(mat)
     orders = _pivot_orders(H)
     guard_cap(math.prod(orders), cap, "module enumeration")
+    columns = [[0] for _ in range(H.n)]
+    for row, order in zip(H.rows, orders):
+        for t, x in enumerate(row):
+            steps = [c * x % m for c in range(order)]
+            columns[t] = [(y + z) % m for y in columns[t] for z in steps]
+    return columns
 
-    def gen():
-        elems = [(0,) * H.n]
-        for row, order in zip(H.rows, orders):
-            multiples = [(0,) * H.n]
-            for _ in range(order - 1):
-                multiples.append(_vec_add(m, multiples[-1], row))
-            elems[:] = [_vec_add(m, e, f) for e in elems for f in multiples]
-        yield from elems
 
-    return gen()
+def enumerate_elements(mat: ModMatrix, cap: int = DEFAULT_ENUM_CAP):
+    """Every element of the row span exactly once, as a tuple: the columns of
+    `element_columns` read across, in its order."""
+    return zip(*element_columns(mat, cap))
 
 
 def _left_null_space(params: ChainRingParams, left) -> tuple[tuple[int, ...], ...]:

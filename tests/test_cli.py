@@ -358,6 +358,7 @@ def test_invariants_refuses_oversized_code_before_census(capsys, monkeypatch, co
 
     monkeypatch.setattr(matrices, "submodule_census", no_census)
     monkeypatch.setattr(matrices, "enumerate_elements", no_codewords)
+    monkeypatch.setattr(matrices, "element_columns", no_codewords)
     for action in ("moments", "distribution"):
         status, out, err = run_cli(
             capsys, "invariants", code_file, action, "--cap", "8"
@@ -380,6 +381,7 @@ def test_invariants_refuses_too_many_anticodes(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(matrices, "module_intersect", no_intersection)
     monkeypatch.setattr(matrices, "restrict", no_intersection)
     monkeypatch.setattr(matrices, "enumerate_elements", no_codewords)
+    monkeypatch.setattr(matrices, "element_columns", no_codewords)
     monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
     for action in ("moments", "distribution"):
         status, out, err = run_cli(capsys, "invariants", str(path), action)

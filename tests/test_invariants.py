@@ -2,7 +2,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lee_anticodes import invariants as inv
@@ -230,13 +230,94 @@ def test_grid_subtypes_match_restriction(p, s, n):
             )
 
 
+# (Z/9)^3, (Z/8)^2, F_2^4, (Z/4)^3, (Z/25)^2 and (Z/27)^2.
+WIDE_CENSUSES = [(3, 2, 3), (2, 3, 2), (2, 1, 4), (2, 2, 3), (5, 2, 2), (3, 3, 2)]
+
+
+@pytest.mark.parametrize("p, s, n", WIDE_CENSUSES)
+def test_cell_counts_match_a_count_per_word(p, s, n):
+    """The histogram folded over the columns of C counts each element of the
+    oracle's element set once, in the cell of its valuation vector."""
+    params = ChainRingParams(p, s)
+    census = oracle.enumerate_submodules(matrices.ModMatrix.full(params, n))
+    for entry in census.entries:
+        want = [0] * (s + 1) ** n
+        for word in entry.elements:
+            cell = 0
+            for x in word:
+                cell = cell * (s + 1) + params.valuation(x)
+            want[cell] += 1
+        assert inv._cell_counts(Code(entry.mat), inv.DEFAULT_CENSUS_CAP) == want
+
+
+def _tables_by_columns(code: Code) -> tuple[dict, dict]:
+    """B and W with the B grid unpacked: one difference pass per rank j, and
+    each family summed entry by entry."""
+    params, n, jmax = code.params, code.n, code.rank
+    s = params.s
+    rows = [inv._bracket_moments(ext, params.p, jmax) for ext in inv._meet_subtypes(code)]
+    shapes = [
+        tuple(e.count(d) for d in range(s + 1))
+        for e in itertools.product(range(s + 1), repeat=n)
+    ]
+    keys = [(a, j) for a in compositions(s + 1, n) for j in range(jmax + 1)]
+    moments, weights = dict.fromkeys(keys, 0), dict.fromkeys(keys, 0)
+    for j in range(jmax + 1):
+        column = [row[j] for row in rows]
+        for a, b, w in zip(shapes, column, inv._differences(list(column), n, s)):
+            moments[(a, j)] += b
+            weights[(a, j)] += w
+    return moments, weights
+
+
+def _wide_codes():
+    for p, s, n in WIDE_CENSUSES:
+        yield from oracle.enumerate_codes(n, ChainRingParams(p, s))
+    # The full module of F_11^3: brackets up to its 133 lines and planes,
+    # the largest of these spaces.
+    yield Code.full(ChainRingParams(11, 1), 3)
+
+
+def test_packed_pass_matches_the_per_column_reference():
+    for code in _wide_codes():
+        table = inv.build_invariant_table(code)
+        moments, weights = _tables_by_columns(code)
+        assert table.binomial_moments == moments, code.gen.rows
+        assert table.weight_distributions == weights, code.gen.rows
+
+
+@st.composite
+def signed_digit_pairs(draw):
+    """A digit width and two digit lists of one length, each digit of
+    absolute value below 2^(width - 2), so that their difference stays
+    below 2^(width - 1)."""
+    width = draw(st.integers(2, 96))
+    digits = st.integers(-(2 ** (width - 2)) + 1, 2 ** (width - 2) - 1)
+    size = draw(st.integers(1, 8))
+    return width, *(draw(st.lists(digits, min_size=size, max_size=size)) for _ in "xy")
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_digit_pairs())
+@example((2, [0, 0], [0, 0]))
+@example((40, [-(2**38) + 1, 2**38 - 1, -1], [2**38 - 1, -(2**38) + 1, 1]))
+def test_packed_digits_round_trip_and_subtract(case):
+    """Packing is exact for digits of either sign, and the difference of two
+    packed rows unpacks to the difference of the rows, as the difference
+    pass needs."""
+    width, xs, ys = case
+    packed_x, packed_y = inv._pack(xs, width), inv._pack(ys, width)
+    assert inv._unpack(packed_x, width, len(xs)) == xs
+    assert inv._unpack(packed_x - packed_y, width, len(xs)) == [
+        x - y for x, y in zip(xs, ys)
+    ]
+
+
 def _free_shape(m: int, s: int, n: int) -> tuple[int, ...]:
     return (m,) + (0,) * (s - 1) + (n - m,)
 
 
-@pytest.mark.parametrize(
-    "p, s, n", [(3, 2, 3), (2, 3, 2), (2, 1, 4), (2, 2, 3), (5, 2, 2), (3, 3, 2)]
-)
+@pytest.mark.parametrize("p, s, n", WIDE_CENSUSES)
 def test_socle_walk_matches_element_set_supports(p, s, n, ghw_by_elements):
     """On every code of (Z/9)^3, (Z/8)^2, F_2^4, (Z/4)^3, (Z/25)^2 and
     (Z/27)^2, the m of the r-th free R-weight is the least Hamming support

@@ -146,6 +146,37 @@ def test_membership():
 def test_enumerate_elements_cap():
     with pytest.raises(CapExceeded):
         list(mx.enumerate_elements(ModMatrix.full(Z9, 2), cap=10))
+    with pytest.raises(CapExceeded, match="module enumeration: 81 exceeds cap 10"):
+        mx.element_columns(ModMatrix.full(Z9, 2), cap=10)
+
+
+def _elements_as_tuples(mat: ModMatrix) -> list[tuple[int, ...]]:
+    """The span as tuples, each multiple of a Howell row and each sum formed
+    as a vector, the last coefficient varying fastest."""
+    m = mat.params.modulus
+    h = mx.howell_form(mat)
+    elems = [(0,) * mat.n]
+    for row, j in zip(h.rows, mx.pivot_columns(h)):
+        multiples = [tuple(c * x % m for x in row) for c in range(m // row[j])]
+        elems = [
+            tuple((x + y) % m for x, y in zip(e, f)) for e in elems for f in multiples
+        ]
+    return elems
+
+
+@settings(max_examples=60, deadline=None)
+@given(mod_matrices())
+@example(ModMatrix.zero(Z9, 3))
+@example(ModMatrix(Z9, 3, ((1, 2, 1), (0, 3, 0))))
+def test_element_columns_read_across_keep_the_tuple_order(mat):
+    """The columns, transposed, are the elements in lexicographic order of
+    their Howell coefficients, the order the tests of codes rely on."""
+    columns = mx.element_columns(mat)
+    want = _elements_as_tuples(mat)
+    assert len(columns) == mat.n
+    assert all(len(col) == len(want) for col in columns)
+    assert list(zip(*columns)) == want
+    assert list(mx.enumerate_elements(mat)) == want
 
 
 def test_systematic_form_unit_pivot():
