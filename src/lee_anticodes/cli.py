@@ -23,7 +23,7 @@ from . import anticodes as ac
 from . import dominance as comp
 from . import invariants as inv
 from . import matrices, verification
-from .codes import Code, analysis_record
+from .codes import Code, analysis_record, weight_range
 from .errors import CapExceeded, InternalCheckError, guard_cap
 from .ring import METRICS
 
@@ -259,15 +259,9 @@ def cmd_code(args, cap: int | None) -> _Output:
     metrics = [args.metric] if args.metric else list(METRICS)
 
     if args.action == "distance":
-        guard_cap(code.size, capv, "codeword enumeration")
         per_metric = {
-            metric: {
-                "min_distance": None
-                if code.rank == 0
-                else code.min_distance(metric, capv),
-                "max_weight": code.max_weight(metric, capv),
-            }
-            for metric in metrics
+            metric: {"min_distance": least, "max_weight": top}
+            for metric, (top, least) in weight_range(code, metrics, capv).items()
         }
         return _Output(
             {**shape, "metrics": per_metric},
@@ -278,14 +272,13 @@ def cmd_code(args, cap: int | None) -> _Output:
     # optimal
     if args.metric is None and params.p == 2:
         metrics = [m for m in metrics if m != "lee"]
-    guard_cap(code.size, capv, "codeword enumeration")
     verdicts = {
         metric: {
             "optimal": ac.is_optimal(code, metric, capv),
             "bound": ac.weight_bound(code, metric),
-            "max_weight": code.max_weight(metric, capv),
+            "max_weight": top,
         }
-        for metric in metrics
+        for metric, (top, _) in weight_range(code, metrics, capv).items()
     }
     return _Output(
         {**shape, "verdicts": verdicts},

@@ -6,6 +6,9 @@ computed eagerly: the subtype (k_0, ..., k_{s-1}) counts minimal generators
 by valuation, the support subtype (n_0, ..., n_s) counts coordinates by the
 ideal they project onto, and the R-dimension k = sum (s-i)/s * k_i is kept
 exact as the integer s*k. Coordinates are 0-based throughout.
+
+Every weight comes from one pass, `weight_range`: C's element columns are
+built once and `ring.column_weights` folds them into each metric's weights.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import matrices
-from .errors import guard_cap
 from .matrices import DEFAULT_ENUM_CAP, ModMatrix
-from .ring import METRICS, ChainRingParams, vector_weight
+from .ring import METRICS, ChainRingParams, column_weights
 
 
 @dataclass(frozen=True)
@@ -82,9 +84,6 @@ class Code:
         """(k_0, ..., k_{s-1}, n - K), a weak composition of n into s+1 parts."""
         return self.subtype + (self.n - self.rank,)
 
-    def codewords(self, cap: int = DEFAULT_ENUM_CAP):
-        return matrices.enumerate_elements(self.gen, cap)
-
     def dual(self) -> "Code":
         """The orthogonal code under the standard inner product."""
         return Code(matrices.kernel(self.gen))
@@ -96,15 +95,24 @@ class Code:
         return not any(matrices._residue(vec, self.gen, self.pivot_columns))
 
     def max_weight(self, metric: str, cap: int = DEFAULT_ENUM_CAP) -> int:
-        return max(vector_weight(self.params, w, metric) for w in self.codewords(cap))
+        return weight_range(self, [metric], cap)[metric][0]
 
     def min_distance(self, metric: str, cap: int = DEFAULT_ENUM_CAP) -> int:
-        weights = [
-            vector_weight(self.params, w, metric) for w in self.codewords(cap) if any(w)
-        ]
-        if not weights:
+        least = weight_range(self, [metric], cap)[metric][1]
+        if least is None:
             raise ValueError("minimum distance of the zero code is undefined")
-        return min(weights)
+        return least
+
+
+def weight_range(code: Code, metrics, cap: int = DEFAULT_ENUM_CAP) -> dict:
+    """For each metric, (maximum weight, least nonzero weight or None) over
+    one enumeration of C. Only the zero word weighs 0, in every metric."""
+    columns = matrices.element_columns(code.gen, cap)
+    out = {}
+    for metric in metrics:
+        weights = column_weights(code.params, columns, metric)
+        out[metric] = (max(weights), min(filter(None, weights), default=None))
+    return out
 
 
 def column_valuations(gen: ModMatrix) -> tuple[int, ...]:
@@ -136,7 +144,6 @@ def type_partition(code: Code) -> tuple[int, ...]:
 
 def analysis_record(code: Code, cap: int = DEFAULT_ENUM_CAP) -> dict:
     """JSON-ready summary of a code's structural and metric parameters."""
-    guard_cap(code.size, cap, "code analysis enumeration")
     record = {
         "p": code.params.p,
         "s": code.params.s,
@@ -153,14 +160,7 @@ def analysis_record(code: Code, cap: int = DEFAULT_ENUM_CAP) -> dict:
         "hamming_support": list(hamming_support(code)),
         "generator_rows": [list(row) for row in code.gen.rows],
     }
-    max_weights = {}
-    min_distances = {}
-    for metric in METRICS:
-        max_weights[metric] = code.max_weight(metric, cap)
-        if code.rank == 0:
-            min_distances[metric] = None
-        else:
-            min_distances[metric] = code.min_distance(metric, cap)
-    record["max_weight"] = max_weights
-    record["min_distance"] = min_distances
+    ranges = weight_range(code, METRICS, cap)
+    record["max_weight"] = {metric: top for metric, (top, _) in ranges.items()}
+    record["min_distance"] = {metric: least for metric, (_, least) in ranges.items()}
     return record

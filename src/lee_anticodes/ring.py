@@ -118,28 +118,31 @@ class ChainRingParams:
         return tuple(self.ideal_max_lee(i) for i in range(self.s))
 
 
-def hamming_weight(vec) -> int:
-    """Number of nonzero coordinates."""
-    return sum(1 for x in vec if x != 0)
-
-
-def lee_weight_vec(params: ChainRingParams, vec) -> int:
-    return sum(params.lee_weight(x) for x in vec)
-
-
-def hom_weight_scaled_vec(params: ChainRingParams, vec) -> int:
-    return sum(params.hom_weight_scaled(x) for x in vec)
-
-
 METRICS = ("lee", "hamming", "hom")
 
 
-def vector_weight(params: ChainRingParams, vec, metric: str) -> int:
-    """Weight of a vector in the chosen metric; homogeneous is the scaled one."""
+def residue_weight(params: ChainRingParams, x: int, metric: str) -> int:
+    """Weight of x mod p^s in the chosen metric; the one metric dispatch."""
     if metric == "lee":
-        return lee_weight_vec(params, vec)
+        return params.lee_weight(x)
     if metric == "hamming":
-        return hamming_weight(vec)
+        return int(x % params.modulus != 0)
     if metric == "hom":
-        return hom_weight_scaled_vec(params, vec)
+        return params.hom_weight_scaled(x)
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def vector_weight(params: ChainRingParams, vec, metric: str) -> int:
+    """Weight of a vector: the sum of its residue weights."""
+    return sum(residue_weight(params, x, metric) for x in vec)
+
+
+def column_weights(params: ChainRingParams, columns, metric: str) -> list[int]:
+    """The weight of every vector, the list `columns` holding coordinate t of
+    each in column t. Each residue present is weighed once: p^s may be far
+    larger than the number of vectors."""
+    weight = {x: residue_weight(params, x, metric) for x in set().union(*columns)}
+    totals = [0] * len(columns[0])
+    for col in columns:
+        totals = [w + weight[x] for w, x in zip(totals, col)]
+    return totals

@@ -30,7 +30,7 @@ from . import matrices, oracle
 from .codes import Code
 from .errors import InternalCheckError
 from .matrices import ModMatrix
-from .ring import METRICS, ChainRingParams, vector_weight
+from .ring import METRICS, ChainRingParams, column_weights
 
 
 @dataclass(frozen=True)
@@ -312,12 +312,12 @@ def verify_anticodes(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CA
     census, codes = _census_codes(params, n, cap)
     all_anticodes = oracle.enumerate_anticodes(n, params)
     comps = comp.compositions(s + 1, n)
-    # Each code's maximum weight in every metric, from one pass over its
-    # census element set.
+    # Each code's maximum weight in every metric, read off the columns of
+    # its census element set.
     maxima = []
     for entry in census.entries:
-        weights = [[vector_weight(params, x, m) for m in METRICS] for x in entry.elements]
-        maxima.append(dict(zip(METRICS, map(max, zip(*weights)))))
+        columns = list(zip(*entry.elements))
+        maxima.append({m: max(column_weights(params, columns, m)) for m in METRICS})
 
     def run_bound_check(metric, bound):
         def check():

@@ -23,7 +23,7 @@ from lee_anticodes import oracle, verification
 from lee_anticodes.anticodes import Anticode
 from lee_anticodes.codes import Code
 from lee_anticodes.matrices import ModMatrix
-from lee_anticodes.ring import ChainRingParams, lee_weight_vec
+from lee_anticodes.ring import ChainRingParams, vector_weight
 
 Z9 = ChainRingParams(3, 2)
 
@@ -131,7 +131,7 @@ def test_criterion_06_lee_bound_worked_example(report):
         bound == 7
         and over.max_weight("lee") == 8
         and over.contains_vector(witness)
-        and lee_weight_vec(Z9, witness) == 8
+        and vector_weight(Z9, witness, "lee") == 8
         and attains.max_weight("lee") == 7
     )
     report(6, ok, "bound 7; one code exceeds it at 8, one attains it")

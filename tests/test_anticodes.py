@@ -112,7 +112,7 @@ def test_hull_is_minimal_cover():
     code = Code.from_rows(Z9, 2, [(3, 3)])
     h = ac.hull(code)
     assert h.exponents == (1, 1)
-    code_elems = set(code.codewords())
+    code_elems = set(mx.enumerate_elements(code.gen))
     for a in enumerate_anticodes(2, Z9):
         covers = code_elems <= set(mx.enumerate_elements(a.module()))
         assert covers == ac.contains(a, h)

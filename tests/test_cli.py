@@ -213,6 +213,28 @@ def test_code_optimal(capsys, code_file, free_code_file):
     assert csv_out == "metric;optimal;bound;max_weight\nlee;true;7;7\n"
 
 
+@pytest.mark.parametrize("action", ["analyze", "distance"])
+def test_code_action_enumerates_once(capsys, monkeypatch, code_file, action):
+    calls = []
+    columns = matrices.element_columns
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return columns(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "element_columns", counted)
+    status, out, _ = run_cli(capsys, "code", code_file, action)
+    assert status == 0 and out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("action", ["analyze", "distance", "optimal"])
+def test_code_action_refuses_oversized_code(capsys, code_file, action):
+    status, out, err = run_cli(capsys, "code", code_file, action, "--cap", "8")
+    assert status == 2 and out == ""
+    assert "exceeds cap 8" in err
+
+
 def test_code_optimal_even_prime(capsys, even_code_file):
     status, out, _ = run_cli(capsys, "code", even_code_file, "optimal")
     assert status == 0

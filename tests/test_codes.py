@@ -1,12 +1,14 @@
 import json
+import random
 
 import pytest
 
 from lee_anticodes import codes as cd
+from lee_anticodes import matrices
 from lee_anticodes.anticodes import Anticode
 from lee_anticodes.codes import Code
 from lee_anticodes.oracle import enumerate_anticodes, enumerate_codes
-from lee_anticodes.ring import METRICS, ChainRingParams
+from lee_anticodes.ring import METRICS, ChainRingParams, vector_weight
 
 Z9 = ChainRingParams(3, 2)
 
@@ -47,7 +49,7 @@ def test_zero_code():
     assert z.extended_subtype == (0, 0, 3)
     assert z.support_subtype == (0, 0, 3)
     assert z.size == 1
-    assert list(z.codewords()) == [(0, 0, 0)]
+    assert list(matrices.enumerate_elements(z.gen)) == [(0, 0, 0)]
     with pytest.raises(ValueError):
         z.min_distance("lee")
 
@@ -93,6 +95,37 @@ def test_weight_extremes():
     assert c.max_weight("hom") == 6
     free = Code.from_rows(Z9, 3, [(1, 0, 0), (0, 3, 0)])
     assert free.max_weight("lee") == 7
+
+
+def _per_word_range(code, metric):
+    """The maximum and least nonzero weight, one `vector_weight` per word."""
+    words = list(matrices.enumerate_elements(code.gen))
+    top = max(vector_weight(code.params, w, metric) for w in words)
+    nonzero = [vector_weight(code.params, w, metric) for w in words if any(w)]
+    return top, min(nonzero, default=None)
+
+
+def _random_codes(seed=19, per_ring=12):
+    rng = random.Random(seed)
+    for p, s in ((3, 2), (2, 3), (5, 2), (3, 3), (3, 1), (2, 2)):
+        params = ChainRingParams(p, s)
+        for _ in range(per_ring):
+            n = rng.randint(1, 3)
+            rows = [
+                [rng.randrange(params.modulus) for _ in range(n)]
+                for _ in range(rng.randint(1, 2))
+            ]
+            yield Code.from_rows(params, n, rows)
+    yield Code.zero(Z9, 3)
+    yield Code.from_rows(ChainRingParams(199, 2), 2, [(1, 12345)])
+
+
+def test_weight_range_matches_per_word_weights():
+    for code in _random_codes():
+        ranges = cd.weight_range(code, METRICS)
+        assert list(ranges) == list(METRICS)
+        for metric in METRICS:
+            assert ranges[metric] == _per_word_range(code, metric), (code, metric)
 
 
 def test_small_code_distances():

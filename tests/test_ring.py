@@ -3,10 +3,9 @@ import pytest
 from lee_anticodes.ring import (
     METRICS,
     ChainRingParams,
-    hamming_weight,
-    hom_weight_scaled_vec,
+    column_weights,
     is_prime,
-    lee_weight_vec,
+    residue_weight,
     vector_weight,
 )
 
@@ -59,14 +58,14 @@ def test_lee_weight_symmetry_and_cap():
 
 
 def test_lee_weight_vector():
-    assert lee_weight_vec(Z9, (4, 5, 0)) == 8
-    assert lee_weight_vec(Z9, (0, 0, 0)) == 0
+    assert vector_weight(Z9, (4, 5, 0), "lee") == 8
+    assert vector_weight(Z9, (0, 0, 0), "lee") == 0
 
 
 def test_hamming_weight():
-    assert hamming_weight((0, 0, 0)) == 0
-    assert hamming_weight((1, 2, 0)) == 2
-    assert hamming_weight((4, 3, 0)) == 2
+    assert vector_weight(Z9, (0, 0, 0), "hamming") == 0
+    assert vector_weight(Z9, (1, 2, 0), "hamming") == 2
+    assert vector_weight(Z9, (4, 3, 0), "hamming") == 2
 
 
 def test_hom_weight_scaled():
@@ -77,7 +76,7 @@ def test_hom_weight_scaled():
     assert Z9.hom_weight_scaled(4) == 2
     values = {Z9.hom_weight_scaled(x) for x in range(9)}
     assert values == {0, 2, 3}
-    assert hom_weight_scaled_vec(Z9, (3, 3, 0)) == 6
+    assert vector_weight(Z9, (3, 3, 0), "hom") == 6
 
 
 def test_hom_weight_scaled_range():
@@ -129,6 +128,27 @@ def test_vector_weight_dispatch():
     assert set(METRICS) == {"lee", "hamming", "hom"}
     with pytest.raises(ValueError):
         vector_weight(Z9, vec, "euclidean")
+    with pytest.raises(ValueError):
+        residue_weight(Z9, 0, "euclidean")
+
+
+def test_every_metric_reduces_mod_p_s():
+    # (9, -9, 18) is the zero vector of (Z/9)^3 in every metric.
+    for metric in METRICS:
+        assert vector_weight(Z9, (9, -9, 18), metric) == 0
+        assert [residue_weight(Z9, x, metric) for x in (10, -8)] == [
+            residue_weight(Z9, 1, metric)
+        ] * 2
+
+
+def test_column_weights_match_vector_weight():
+    words = [(0, 0, 0), (3, 4, 0), (8, 6, 1), (4, 4, 4), (1, 0, 3)]
+    columns = list(zip(*words))
+    for params in (Z9, ChainRingParams(199, 2)):
+        for metric in METRICS:
+            assert column_weights(params, columns, metric) == [
+                vector_weight(params, w, metric) for w in words
+            ]
 
 
 def test_weights_are_translation_invariant_differences():

@@ -80,6 +80,10 @@ def _negated(method):
     return lambda self, *args: not method(self, *args)
 
 
+def _drops_last_column(column_weights):
+    return lambda params, columns, metric: column_weights(params, columns[:-1], metric)
+
+
 def _drops_last_generator(restrict):
     def planted(mat, exponents):
         meet = restrict(mat, exponents)
@@ -140,6 +144,10 @@ PLANTED = {
         ac, "hom_bound_scaled", _off_by_one, "anticodes",
         "homogeneous bound holds on the census",
     ),
+    "column_weights": (
+        vf, "column_weights", _drops_last_column, "anticodes",
+        "lee bound holds on the census",
+    ),
 }
 
 
@@ -178,7 +186,8 @@ def test_verify_anticodes_enumerates_no_codeword(p, monkeypatch):
     def no_codewords(*args, **kwargs):
         raise AssertionError("a codeword was enumerated")
 
-    monkeypatch.setattr(Code, "codewords", no_codewords)
+    monkeypatch.setattr(mx, "element_columns", no_codewords)
+    monkeypatch.setattr(mx, "enumerate_elements", no_codewords)
     results = vf.verify_anticodes(p, 2, 2)
     assert [r.name for r in results if not r.passed] == []
     assert len(results) == (9 if p == 3 else 6)
