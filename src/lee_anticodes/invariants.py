@@ -13,8 +13,10 @@ coordinate give |C cap A_e| for all (s+1)^n anticodes A_e together, and
 (C cap A_e)[p^i] = C cap A_max(e, s-i) gives the subtype. The weight
 distribution W(A, j) counts those subcodes whose hull is exactly A: it is
 the Moebius inversion of B over the anticodes, a product of chains (Rota
-1964), taken as one difference pass per coordinate. The aggregates
-B_a^(j) and W_a^(j) sum over family(a). Each cell's B row is packed into
+1964), taken as one difference step per coordinate. Each pass over the
+(s+1)^n cells is n strided sweeps (`_sweep`), and no index table is kept.
+The aggregates B_a^(j) and W_a^(j) sum over family(a), keyed by a code of
+each cell's digit counts (`_shape_codes`). Each cell's B row is packed into
 one integer, one signed digit per rank j, wide enough for every partial
 difference and family sum, so one difference pass and one family loop
 serve every j. Grouping the B count by the hull gives
@@ -203,50 +205,16 @@ def _bracket_moments(ext, q: int, jmax: int) -> list[int]:
     return row
 
 
-# The anticode grid: one cell per exponent vector e in {0..s}^n, at the flat
-# index sum_t e_t (s+1)^(n-1-t), the lexicographic order of e.
-
-
-def _grid(n: int, s: int, step, start) -> list:
-    """step folded over the coordinates of each cell, from start, in grid order."""
-    cells = [start]
+def _sweep(grid: list, n: int, s: int, combine) -> list:
+    """The anticode grid has one cell per exponent vector e in {0..s}^n, in
+    lexicographic order. A sweep replaces the slices grid[d::s+1] of the
+    cells with e_(n-1) = d by combine(slices) and joins them, which makes
+    e_(n-1) the slowest digit: n sweeps take each coordinate once, in turn,
+    and leave a new grid in the order of the first."""
     for _ in range(n):
-        cells = [step(x, d) for x in cells for d in range(s + 1)]
-    return cells
-
-
-# The grids below and the composition list depend only on (n, s), so each
-# is built once per process; a session meets few lengths and rings.
-
-
-@lru_cache(maxsize=8)
-def _chain_steps(n: int, s: int) -> tuple[tuple[int, int], ...]:
-    """(lo, hi) for each coordinate t, each run of cells sharing e_0..e_(t-1)
-    and each d < s, ascending: the cells [lo, hi) have e_t = d, and the
-    hi - lo cells from hi on are the same cells with e_t = d + 1."""
-    out = []
-    for t in range(n):
-        width = (s + 1) ** (n - 1 - t)
-        for base in range(0, (s + 1) ** n, width * (s + 1)):
-            out.extend((base + d * width, base + (d + 1) * width) for d in range(s))
-    return tuple(out)
-
-
-@lru_cache(maxsize=8)
-def _clamped_cells(n: int, s: int) -> tuple[tuple[int, ...], ...]:
-    """For i = 0..s, the index of the cell max(e, s - i) of each cell e."""
-    return tuple(
-        tuple(_grid(n, s, lambda x, d, floor=s - i: x * (s + 1) + max(d, floor), 0))
-        for i in range(s + 1)
-    )
-
-
-@lru_cache(maxsize=8)
-def _cell_shapes(n: int, s: int) -> tuple[tuple[int, ...], ...]:
-    """The shape of each cell: its digit counts (a_0, ..., a_s)."""
-    return tuple(
-        _grid(n, s, lambda a, d: a[:d] + (a[d] + 1,) + a[d + 1 :], (0,) * (s + 1))
-    )
+        slices = combine([grid[d :: s + 1] for d in range(s + 1)])
+        grid = list(itertools.chain.from_iterable(slices))
+    return grid
 
 
 @lru_cache(maxsize=8)
@@ -256,21 +224,44 @@ def _shapes(n: int, s: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _suffix_sums(grid: list[int], n: int, s: int) -> list[int]:
-    """grid[e] becomes the sum of grid[e'] over e' >= e, one coordinate at a
-    time: with d descending, each cell adds its successor e + 1_t."""
-    for lo, hi in reversed(_chain_steps(n, s)):
-        grid[lo:hi] = [x + y for x, y in zip(grid[lo:hi], grid[hi : 2 * hi - lo])]
-    return grid
+    """The grid of the sums of grid[e'] over e' >= e at each e: along each
+    coordinate, with d descending, slice d adds slice d + 1."""
+
+    def combine(slices):
+        for d in reversed(range(s)):
+            slices[d] = list(map(operator.add, slices[d], slices[d + 1]))
+        return slices
+
+    return _sweep(grid, n, s, combine)
 
 
 def _differences(grid: list[int], n: int, s: int) -> list[int]:
     """The inverse of _suffix_sums, Moebius inversion over the anticodes:
-    grid[e] becomes sum over T of (-1)^|T| grid[e + 1_T], the sets T of
-    coordinates with e_t < s. With d ascending, each cell subtracts its
-    successor before that is changed."""
-    for lo, hi in _chain_steps(n, s):
-        grid[lo:hi] = [x - y for x, y in zip(grid[lo:hi], grid[hi : 2 * hi - lo])]
-    return grid
+    the grid of the sums over T of (-1)^|T| grid[e + 1_T], the sets T of
+    coordinates with e_t < s. Along each coordinate slice d subtracts
+    slice d + 1, and slice s stays."""
+
+    def combine(slices):
+        steps = [list(map(operator.sub, x, y)) for x, y in zip(slices, slices[1:])]
+        return steps + [slices[s]]
+
+    return _sweep(grid, n, s, combine)
+
+
+def _clamped(grid: list, n: int, s: int, floor: int) -> list:
+    """grid[max(e, floor)] at each cell e: along each coordinate the slices
+    below floor become copies of slice floor."""
+    return _sweep(grid, n, s, lambda slices: [slices[floor]] * floor + slices[floor:])
+
+
+def _shape_codes(n: int, s: int) -> list[int]:
+    """sum_t (n+1)^(e_t) at each cell e, which is sum_d a_d (n+1)^d over its
+    digit counts a: the base-(n+1) digits of the code are the a_d <= n."""
+    weights = [(n + 1) ** d for d in range(s + 1)]
+    codes = [0]
+    for _ in range(n):
+        codes = [x + w for x in codes for w in weights]
+    return codes
 
 
 def _pack(digits, width: int) -> int:
@@ -342,7 +333,7 @@ def _meet_subtypes(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int,
         raise InternalCheckError(f"|C cap A| = {exc.args[0]} is no power of {p}") from None
     by_levels: dict = {}
     out = []
-    for levels in zip(*([logs[c] for c in cells] for cells in _clamped_cells(n, s))):
+    for levels in zip(*(_clamped(logs, n, s, s - i) for i in range(s + 1))):
         if levels not in by_levels:
             by_levels[levels] = _subtype_from_sizes(levels, n)
         out.append(by_levels[levels])
@@ -531,11 +522,11 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
     of a partial difference or family sum exceeds top * (2(s+1))^n in
     absolute value, top the largest bracket entry: the difference pass adds
     at most 2^n entries and a family at most (s+1)^n cells. So W is one
-    difference pass over the packed grid of B, one pass keyed by the digit
-    counts of e sums B and W over each family, and each sum is read back
-    digit by digit (`_unpack`). The work is one enumeration of C; a code
-    with more than cap words, or a length with more than cap anticodes, is
-    refused before it starts.
+    difference pass over the packed grid of B, one pass keyed by the shape
+    code of each cell (`_shape_codes`) sums B and W over each family, and
+    each sum is read back digit by digit (`_unpack`). The work is one
+    enumeration of C; a code with more than cap words, or a length with
+    more than cap anticodes, is refused before it starts.
     """
     guard_cap(code.size, cap, "codeword enumeration")
     params, n = code.params, code.n
@@ -549,15 +540,18 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
     width = (top * (2 * (s + 1)) ** n).bit_length() + 2
     packed_by_ext = {ext: _pack(row, width) for ext, row in rows_by_ext.items()}
     b_grid = [packed_by_ext[ext] for ext in subtypes]
-    b_sums = dict.fromkeys(_shapes(n, s), 0)
+    shapes = _shapes(n, s)
+    # Keyed by the code of `_shape_codes` of each shape, in `_shapes` order.
+    keys = (sum(x * (n + 1) ** d for d, x in enumerate(a)) for a in shapes)
+    b_sums = dict.fromkeys(keys, 0)
     w_sums = dict(b_sums)
-    for a, b, w in zip(_cell_shapes(n, s), b_grid, _differences(list(b_grid), n, s)):
-        b_sums[a] += b
-        w_sums[a] += w
+    for key, b, w in zip(_shape_codes(n, s), b_grid, _differences(b_grid, n, s)):
+        b_sums[key] += b
+        w_sums[key] += w
     moments, weights = (
         {
             (a, j): x
-            for a, total in sums.items()
+            for a, total in zip(shapes, sums.values())
             for j, x in enumerate(_unpack(total, width, jmax + 1))
         }
         for sums in (b_sums, w_sums)

@@ -415,6 +415,27 @@ def test_invariants_refuses_too_many_anticodes(capsys, monkeypatch, tmp_path):
     assert "free anticode count: 4096 exceeds cap 2187" in err
 
 
+@pytest.mark.parametrize(
+    "text, command, action",
+    [
+        ("3 2 9100\n", "invariants", "moments"),
+        ("3 10000 1\n1\n", "code", "analyze"),
+        ("3 10000 1\n1\n", "invariants", "moments"),
+    ],
+)
+def test_refusal_of_a_huge_count_is_short(
+    capsys, monkeypatch, tmp_path, text, command, action
+):
+    # 3^9100 anticodes of the zero code, or the 3^10000 words of Z/3^10000:
+    # counts with more decimal digits than str() converts by default.
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    status, out, err = run_cli(capsys, command, str(path), action)
+    assert status == 2 and out == ""
+    assert "exceeds cap" in err and len(err) < 200
+
+
 def test_ghw_refuses_a_long_free_walk_before_any_intersection(
     capsys, monkeypatch, tmp_path
 ):

@@ -287,6 +287,68 @@ def test_packed_pass_matches_the_per_column_reference():
 
 
 @st.composite
+def anticode_grids(draw):
+    """(n, s, grid): random integers on the cells {0..s}^n, 1 <= n <= 6,
+    1 <= s <= 4 and (s+1)^n <= 4096, drawn from a seeded generator."""
+    s = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6).filter(lambda n: (s + 1) ** n <= 4096))
+    rng = draw(st.randoms(use_true_random=False))
+    return n, s, [rng.randint(-50, 50) for _ in range((s + 1) ** n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(anticode_grids())
+@example((1, 3, [5, -2, 7, 1]))
+@example((3, 1, [4, 0, -3, 8, 2, 9, -1, 6]))
+def test_sweeps_match_the_per_cell_definitions(case):
+    n, s, grid = case
+    cells = list(itertools.product(range(s + 1), repeat=n))
+    at = dict(zip(cells, grid))
+    before = list(grid)
+    sums = inv._suffix_sums(grid, n, s)
+    assert sums == [
+        sum(at[f] for f in itertools.product(*(range(x, s + 1) for x in e)))
+        for e in cells
+    ]
+    steps = [[(0, 1) if x < s else (0,) for x in e] for e in cells]
+    assert inv._differences(grid, n, s) == [
+        sum(
+            (-1) ** sum(delta) * at[tuple(map(sum, zip(e, delta)))]
+            for delta in itertools.product(*step)
+        )
+        for e, step in zip(cells, steps)
+    ]
+    assert inv._differences(sums, n, s) == grid
+    for floor in range(s + 1):
+        assert inv._clamped(grid, n, s, floor) == [
+            at[tuple(max(x, floor) for x in e)] for e in cells
+        ]
+    # build_invariant_table zips a pass with its input, so no pass may
+    # change the list it is given.
+    assert grid == before
+    for e, code in zip(cells, inv._shape_codes(n, s)):
+        assert [code // (n + 1) ** d % (n + 1) for d in range(s + 1)] == [
+            e.count(d) for d in range(s + 1)
+        ]
+
+
+def test_sweeps_at_one_coordinate_and_at_s_1():
+    # n = 1, s = 2: the cells e = 0, 1, 2.
+    assert inv._suffix_sums([3, 5, 7], 1, 2) == [15, 12, 7]
+    assert inv._differences([3, 5, 7], 1, 2) == [-2, -2, 7]
+    assert [inv._clamped([3, 5, 7], 1, 2, f) for f in range(3)] == [
+        [3, 5, 7], [5, 5, 7], [7, 7, 7],
+    ]
+    assert inv._shape_codes(1, 2) == [1, 2, 4]
+    # n = 2, s = 1: the cells 00, 01, 10, 11.
+    assert inv._suffix_sums([1, 2, 4, 8], 2, 1) == [15, 10, 12, 8]
+    assert inv._differences([1, 2, 4, 8], 2, 1) == [3, -6, -4, 8]
+    assert inv._clamped([1, 2, 4, 8], 2, 1, 0) == [1, 2, 4, 8]
+    assert inv._clamped([1, 2, 4, 8], 2, 1, 1) == [8, 8, 8, 8]
+    assert inv._shape_codes(2, 1) == [2, 4, 4, 6]
+
+
+@st.composite
 def signed_digit_pairs(draw):
     """A digit width and two digit lists of one length, each digit of
     absolute value below 2^(width - 2), so that their difference stays

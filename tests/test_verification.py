@@ -64,6 +64,22 @@ def _from_the_wrong_end(grid_pass):
     return lambda grid, n, s: grid_pass(grid[::-1], n, s)[::-1]
 
 
+def _clamps_one_below(clamped):
+    """Clamps at floor - 1, so each level is read one cell too low."""
+    return lambda grid, n, s, floor: clamped(grid, n, s, max(floor - 1, 0))
+
+
+def _swaps_two_digit_weights(shape_codes):
+    """Weighs digit 0 as (n+1)^1 and digit 1 as (n+1)^0: each cell's code is
+    that of its shape with a_0 and a_1 swapped."""
+
+    def planted(n, s):
+        base = n + 1
+        return [x + (x % base - x // base % base) * n for x in shape_codes(n, s)]
+
+    return planted
+
+
 def _swaps_first_two_parts(subtype):
     def planted(levels, n):
         ext = subtype(levels, n)
@@ -103,6 +119,10 @@ PLANTED = {
         inv, "_subtype_from_sizes", _swaps_first_two_parts, "invariants", TABLES,
     ),
     "differences": (inv, "_differences", _from_the_wrong_end, "invariants", TABLES),
+    "clamped": (inv, "_clamped", _clamps_one_below, "invariants", TABLES),
+    "shape_codes": (
+        inv, "_shape_codes", _swaps_two_digit_weights, "invariants", TABLES,
+    ),
     "restrict": (mx, "restrict", _drops_last_generator, "invariants", TABLES),
     "chain_bracket_counting": (
         inv, "chain_bracket", _off_by_one, "counting",
