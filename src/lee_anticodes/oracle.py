@@ -2,15 +2,16 @@
 
 Everything here is intentionally naive and element-based so it can serve as
 an independent check of the closed forms and canonical algorithms: modules
-are manipulated as explicit element sets, subtypes are read off the sizes
-of the multiplication-by-p filtration, posets are handled by definition.
-The only machinery shared with the main modules is ring arithmetic, the
-Howell canonicalization used for digests, and the span size that a census
-checks against its cap before it builds any element. A census takes each
-module's digest from the few extension elements that built it, not from all
-its elements, and checks that the digest spans exactly the module's element
-set every time a census is built. `matrices.submodule_census` is this
-census's list of digests.
+are explicit element sets, subtypes are read off the sizes of the
+multiplication-by-p filtration, posets are handled by definition. A census
+packs each vector of (Z/m)^n into one int (see _packing), so that adding a
+vector to a whole set is a few integer operations per element; its entries
+hold tuples. A census builds every module as a union of cosets, with no
+Howell form. It shares with the main modules only the ring parameters, the
+span size that it checks against its cap before it builds any element, and
+the Howell form of each module's few extension elements, its digest, which
+is checked to span exactly the module's element set every time.
+`matrices.submodule_census` is this census's list of digests.
 """
 
 from __future__ import annotations
@@ -31,46 +32,77 @@ DEFAULT_POSET_CAP = 10**4
 DEFAULT_ANTICODE_CAP = 10**5
 
 
+def _packing(m: int, n: int):
+    """pack, unpack and translate on (Z/m)^n, with each vector one int.
+
+    x is sum_t x_t 2^(w t) with w = m.bit_length() + 1: a field holds a sum
+    below 2m without a carry. translate adds x to every element of a set and
+    takes m off each field whose sum z has bit w - 1 of z + 2^(w-1) - m set.
+    """
+    w = m.bit_length() + 1
+    top, mask = w - 1, (1 << w) - 1
+    low = sum(((1 << top) - m) << (w * t) for t in range(n))
+    high = sum(1 << (top + w * t) for t in range(n))
+
+    def pack(vec) -> int:
+        return sum((int(x) % m) << (w * t) for t, x in enumerate(vec))
+
+    def unpack(x: int) -> tuple[int, ...]:
+        return tuple((x >> (w * t)) & mask for t in range(n))
+
+    def translate(elems, x: int) -> set:
+        return {(z := e + x) - (((z + low) & high) >> top) * m for e in elems}
+
+    return pack, unpack, translate
+
+
+def _span(module, gens, translate, bound: int) -> set:
+    """The packed span of a module and gens: for each g in turn, the cosets
+    module + k g for k = 0, ..., bound, up to the first k with k g in it."""
+    for g in gens:
+        out, coset = set(module), module
+        for _ in range(bound):
+            coset = translate(coset, g)
+            if 0 in coset:
+                break
+            out |= coset
+        module = out
+    return module
+
+
 def span_elements(params: ChainRingParams, n: int, gens) -> frozenset:
     """All elements of the module generated by gens, by closure under addition."""
     m = params.modulus
-    zero = (0,) * n
-    elems = {zero}
-    frontier = [zero]
-    gens = [tuple(int(x) % m for x in g) for g in gens]
-    while frontier:
-        e = frontier.pop()
-        for g in gens:
-            x = tuple((a + b) % m for a, b in zip(e, g))
-            if x not in elems:
-                elems.add(x)
-                frontier.append(x)
-    return frozenset(elems)
+    pack, unpack, translate = _packing(m, n)
+    return frozenset(map(unpack, _span({0}, map(pack, gens), translate, m - 1)))
 
 
-def subtype_from_elements(params: ChainRingParams, elems) -> tuple[int, ...]:
-    """Subtype recovered from the sizes of p^j * M alone.
-
-    With M of subtype (k_0, ..., k_{s-1}), log_p |p^j M| drops by
-    sum_{i <= s-1-j} k_i from step j to j+1; differencing twice isolates
-    each k_i.
-    """
-    p, s, m = params.p, params.s, params.modulus
+def _filtration_subtype(params: ChainRingParams, module, times_p) -> tuple[int, ...]:
+    """Subtype of a packed module from the sizes of p^j * M alone, with
+    times_p the map x -> p x. With M of subtype (k_0, ..., k_{s-1}),
+    log_p |p^j M| drops by sum_{i <= s-1-j} k_i from step j to j+1;
+    differencing twice isolates each k_i."""
+    p, s = params.p, params.s
     logsizes = []
     for j in range(s + 1):
-        pj = p**j
-        size = len({tuple((pj * x) % m for x in e) for e in elems})
-        log = 0
-        while p**log < size:
-            log += 1
+        size = len(module)
+        log = round(math.log(size, p))
         if p**log != size:
             raise InternalCheckError(f"|p^{j} M| = {size} is not a power of {p}")
         logsizes.append(log)
+        module = set(map(times_p, module))
     drops = [logsizes[j] - logsizes[j + 1] for j in range(s)] + [0]
     counts = tuple(drops[s - 1 - i] - drops[s - i] for i in range(s))
     if any(k < 0 for k in counts):
         raise InternalCheckError(f"negative subtype from sizes {logsizes}")
     return counts
+
+
+def subtype_from_elements(params: ChainRingParams, elems) -> tuple[int, ...]:
+    """Subtype of the module with element set elems, from its size filtration."""
+    pack, unpack, _ = _packing(params.modulus, len(next(iter(elems))))
+    times_p = lambda x: pack([params.p * t for t in unpack(x)])
+    return _filtration_subtype(params, set(map(pack, elems)), times_p)
 
 
 @dataclass(frozen=True)
@@ -98,10 +130,12 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
 
     Grows modules one index-p cyclic extension at a time: every submodule
     has a composition series whose steps adjoin some x with p*x already
-    present, so the breadth-first closure reaches all of them. Distinct
-    extension elements yielding one child differ by a child element, so
-    pruning each new child's elements from the candidate list visits every
-    (module, child) edge exactly once. Deduplication is by raw element set.
+    present, so the breadth-first closure reaches all of them; the
+    candidates x are the preimages of the module under x -> p*x, a map
+    built once over the parent. Distinct extension elements yielding one
+    child differ by a child element, so pruning each new child's elements
+    from the candidate list visits every (module, child) edge exactly once.
+    Deduplication is by raw element set.
     Each module keeps the extension elements that built it, at most one per
     composition step; its Howell digest is taken from those few rows and
     verified against the element set.
@@ -109,38 +143,41 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
     params, n = mat.params, mat.n
     p, m = params.p, params.modulus
     guard_cap(span_size(mat), cap, "submodule census")
-    parent = span_elements(params, n, mat.rows)
-    universe = sorted(parent)
-    times_p = [tuple((p * t) % m for t in x) for x in universe]
-    zero = frozenset({(0,) * n})
+    pack, unpack, translate = _packing(m, n)
+    # the parent's packed elements: their tuples, x -> p x and its preimages
+    decode = {x: unpack(x) for x in _span({0}, map(pack, mat.rows), translate, m - 1)}
+    times_p = {x: pack([p * t for t in vec]) for x, vec in decode.items()}
+    preimages = {x: [] for x in decode}
+    for x, px in times_p.items():
+        preimages[px].append(x)
     # element set -> the extension elements that built it, which span it
-    found = {zero: ()}
-    todo = [zero]
+    found = {frozenset({0}): ()}
+    todo = list(found)
     while todo:
         base = todo.pop()
-        queue = [
-            x for x, px in zip(universe, times_p) if px in base and x not in base
-        ]
+        try:
+            queue = [x for y in base for x in preimages[y] if x not in base]
+        except KeyError as exc:
+            raise InternalCheckError("a census module leaves its parent") from exc
         while queue:
             x = queue[0]
-            child = set(base)
-            shift = x
-            for _ in range(p - 1):
-                child.update(tuple((a + b) % m for a, b in zip(e, shift)) for e in base)
-                shift = tuple((a + b) % m for a, b in zip(shift, x))
-            child = frozenset(child)
+            child = frozenset(_span(base, (x,), translate, p - 1))
             if child not in found:
                 found[child] = found[base] + (x,)
                 todo.append(child)
             queue = [y for y in queue if y not in child]
     entries = []
-    for elems, gens in found.items():
-        digest = howell_form(ModMatrix(params, n, gens))
-        if span_elements(params, n, digest.rows) != elems:
+    while found:
+        elems, gens = found.popitem()
+        digest = howell_form(ModMatrix(params, n, tuple(decode[x] for x in gens)))
+        if _span({0}, map(pack, digest.rows), translate, m - 1) != elems:
             raise InternalCheckError(
                 f"howell form of a census module spans a different set: {digest.rows}"
             )
-        entries.append(CensusEntry(digest, elems, subtype_from_elements(params, elems)))
+        subtype = _filtration_subtype(params, elems, times_p.__getitem__)
+        # popitem frees each packed set; the entries share the parent's tuples
+        elems = frozenset(map(decode.__getitem__, elems))
+        entries.append(CensusEntry(digest, elems, subtype))
     entries.sort(key=lambda e: (len(e.elements), e.mat.rows))
     return ModuleCensus(howell_form(mat), tuple(entries))
 

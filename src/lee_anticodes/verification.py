@@ -502,12 +502,13 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
         return None
 
     def check_free_weights_determined():
-        data = [(table(c).r_weights, table(c).r_weights_free) for c in codes]
-        for chain_a, free_a in data:
-            for chain_b, free_b in data:
-                for r in range(min(len(chain_a), len(chain_b))):
-                    if chain_a[r] == chain_b[r] and free_a[r] != free_b[r]:
-                        return f"equal d_{r + 1} but different free weights"
+        # equality is transitive: one free weight per (r, d_r) decides all pairs
+        free_of = {}
+        for c in codes:
+            t = table(c)
+            for key, free in zip(enumerate(t.r_weights), t.r_weights_free):
+                if free_of.setdefault(key, free) != free:
+                    return f"equal d_{key[0] + 1} but different free weights"
         return None
 
     return [

@@ -337,6 +337,7 @@ def test_submodule_census_cap(monkeypatch):
     def no_elements(*args, **kwargs):
         raise AssertionError("an element set was built")
 
+    monkeypatch.setattr(oracle, "_packing", no_elements)
     monkeypatch.setattr(oracle, "span_elements", no_elements)
     with pytest.raises(CapExceeded):
         mx.submodule_census(ModMatrix.full(Z9, 2), cap=10)

@@ -1,6 +1,9 @@
+import math
 from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lee_anticodes import cli
 from lee_anticodes import matrices as mx
@@ -19,6 +22,91 @@ def test_span_elements():
     full = oracle.span_elements(Z9, 2, [(1, 0), (0, 1)])
     assert len(full) == 81
     assert (7, 2) in full
+
+
+@st.composite
+def packed_pairs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    s = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    vec = st.lists(st.integers(0, p**s - 1), min_size=n, max_size=n)
+    return p**s, n, draw(st.lists(vec, min_size=1, max_size=4)), draw(vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_pairs())
+@example((2, 1, [[1]], [1]))
+@example((2, 6, [[1, 0, 1, 1, 0, 1]], [1, 1, 1, 0, 0, 1]))
+@example((8, 3, [[7, 7, 0]], [7, 1, 7]))
+@example((16, 4, [[15, 15, 15, 15]], [15, 15, 15, 15]))
+@example((243, 6, [[242] * 6, [0, 121, 242, 1, 122, 241]], [242, 122, 1, 0, 121, 242]))
+@example((13**5, 6, [[13**5 - 1] * 6], [13**5 - 1] * 6))
+def test_packed_addition_is_coordinatewise_mod_m(case):
+    m, n, xs, y = case
+    pack, unpack, translate = oracle._packing(m, n)
+    assert [unpack(pack(x)) for x in xs] == [tuple(x) for x in xs]
+    sums = translate({pack(x) for x in xs}, pack(y))
+    assert sorted(map(unpack, sums)) == sorted(
+        {tuple((a + b) % m for a, b in zip(x, y)) for x in xs}
+    )
+
+
+def _closure(m, n, gens):
+    """The span by closure of tuples under adding a generator."""
+    elems, frontier = {(0,) * n}, [(0,) * n]
+    while frontier:
+        e = frontier.pop()
+        for g in gens:
+            x = tuple((a + b) % m for a, b in zip(e, g))
+            if x not in elems:
+                elems.add(x)
+                frontier.append(x)
+    return elems
+
+
+def _filtration_by_tuples(p, m, s, elems):
+    return [len({tuple(p**j * x % m for x in e) for e in elems}) for j in range(s + 1)]
+
+
+@st.composite
+def small_modules(draw):
+    # p^(s n) <= 4096, so every closure stays small
+    p, s, n = draw(
+        st.sampled_from(
+            [(p, s, n) for p in (2, 3, 5, 7, 13) for s in range(1, 6)
+             for n in range(1, 7) if p ** (s * n) <= 4096]
+        )
+    )
+    vec = st.lists(st.integers(0, p**s - 1), min_size=n, max_size=n)
+    return ChainRingParams(p, s), n, draw(st.lists(vec, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_modules())
+@example((ChainRingParams(2, 1), 6, [[1, 0, 1, 1, 0, 1], [0, 1, 1, 0, 1, 1]]))
+@example((ChainRingParams(3, 5), 1, [[9]]))
+@example((ChainRingParams(2, 3), 4, [[4, 2, 6, 1], [0, 4, 4, 2]]))
+def test_span_and_filtration_match_tuple_closures(case):
+    params, n, gens = case
+    p, s, m = params.p, params.s, params.modulus
+    elems = oracle.span_elements(params, n, gens)
+    assert elems == _closure(m, n, gens)
+    # the subtype that the tuple-based sizes of p^j M give
+    logs = [round(math.log(size, p)) for size in _filtration_by_tuples(p, m, s, elems)]
+    drops = [logs[j] - logs[j + 1] for j in range(s)] + [0]
+    expect = tuple(drops[s - 1 - i] - drops[s - i] for i in range(s))
+    assert oracle.subtype_from_elements(params, elems) == expect
+    if len(elems) > 32:
+        return
+    # each census entry's subtype against the sizes of p^j M: for subtype k,
+    # |M| / |p^j M| = p^(sum_i k_i min(j, s - i))
+    census = oracle.enumerate_submodules(ModMatrix(params, n, tuple(map(tuple, gens))))
+    for entry in census.entries:
+        k = entry.subtype
+        assert [
+            len(entry.elements) // p ** sum(k[i] * min(j, s - i) for i in range(s))
+            for j in range(s + 1)
+        ] == _filtration_by_tuples(p, m, s, entry.elements)
 
 
 def test_subtype_from_elements():
@@ -87,6 +175,8 @@ def test_census_cap_is_checked_before_any_element_is_built(monkeypatch, capsys):
     def no_elements(*args, **kwargs):
         raise AssertionError("an element set was built")
 
+    # every element set is built through the packed arithmetic
+    monkeypatch.setattr(oracle, "_packing", no_elements)
     monkeypatch.setattr(oracle, "span_elements", no_elements)
     with pytest.raises(CapExceeded, match="submodule census: 81 exceeds cap 10"):
         oracle.enumerate_submodules(ModMatrix.full(Z9, 2), cap=10)

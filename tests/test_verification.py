@@ -8,6 +8,7 @@ from lee_anticodes import matrices as mx
 from lee_anticodes import oracle
 from lee_anticodes import verification as vf
 from lee_anticodes.codes import Code
+from lee_anticodes.errors import InternalCheckError
 from lee_anticodes.matrices import ModMatrix
 from lee_anticodes.ring import ChainRingParams
 
@@ -84,6 +85,26 @@ def _swaps_first_two_parts(subtype):
     def planted(levels, n):
         ext = subtype(levels, n)
         return (ext[1], ext[0]) + ext[2:]
+
+    return planted
+
+
+def _reads_one_level_down(filtration_subtype):
+    """Reads the size filtration of p M in place of that of M."""
+    return lambda params, module, times_p: filtration_subtype(
+        params, set(map(times_p, module)), times_p
+    )
+
+
+def _one_free_weight_off(fields):
+    """Moves the first free r-weight of the full code one coordinate up."""
+
+    def planted(code):
+        out = fields(code)
+        if code.size == code.params.modulus**code.n:
+            first, *rest = out["r_weights_free"]
+            out = {**out, "r_weights_free": ((first[0] + 1, *first[1:]), *rest)}
+        return out
 
     return planted
 
@@ -168,6 +189,14 @@ PLANTED = {
         vf, "column_weights", _drops_last_column, "anticodes",
         "lee bound holds on the census",
     ),
+    "filtration": (
+        oracle, "_filtration_subtype", _reads_one_level_down, "counting",
+        "systematic subtypes match the size filtration",
+    ),
+    "r_weights_free": (
+        inv, "r_weight_fields", _one_free_weight_off, "invariants",
+        "equal r-weights force equal free r-weights",
+    ),
 }
 
 
@@ -180,6 +209,24 @@ def test_planted_fault_fails_its_check(fault, monkeypatch, capsys):
     monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
     assert cli.main(["verify", scope, "--format", "text"]) == 3
     assert f"FAIL {name}:" in capsys.readouterr().out
+
+
+def test_packed_addition_without_its_mod_correction_fails_the_census(
+    monkeypatch, capsys
+):
+    # Not in PLANTED: no check runs, because the census raises before any.
+    packing = oracle._packing
+
+    def no_correction(m, n):
+        pack, unpack, _ = packing(m, n)
+        return pack, unpack, lambda elems, x: {e + x for e in elems}
+
+    monkeypatch.setattr(oracle, "_packing", no_correction)
+    with pytest.raises(InternalCheckError, match="leaves its parent"):
+        vf.verify_counting(3, 2, 2)
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    assert cli.main(["verify", "counting", "--format", "text"]) == 3
+    assert "internal check failed: a census module" in capsys.readouterr().err
 
 
 def test_socle_missing_a_row_fails_the_tables_check(monkeypatch, capsys):
