@@ -5,14 +5,14 @@ ring: pivots are exact powers of p, entries above a pivot are reduced modulo
 that pivot, and the span is Howell-closed, meaning every span element whose
 leading coordinates vanish lies in the span of the trailing rows. Two row
 sets span the same module iff their Howell forms are identical, which makes
-module equality, deduplication, and counting reliable. A row with pivot p^v
-has additive order p^s / p^v (`_pivot_orders`, read by `span_size` and
-`element_columns`), and membership reduction divides by the pivot, at
-the pivot columns a `Code` reads once (`pivot_columns`). The span is listed
-a coordinate at a time (`element_columns`): one list per column, grown by
-one Howell row at a time, so that the invariant table, which folds the
-coordinates, builds no codeword; `enumerate_elements` reads those columns
-across as tuples.
+module equality, deduplication, and counting reliable. `howell_form` builds
+it in one sweep over the columns. Its eliminations, membership (`_residue`,
+at the pivot columns a `Code` reads once) and `systematic_form` all take
+the one step `_reduce`: a row less (row[j] // piv[j]) * piv. A row with
+pivot p^v has additive order p^s / p^v (`_pivot_orders`). The span is
+listed a coordinate at a time (`element_columns`): one list per column,
+grown by one Howell row at a time, so that the invariant table builds no
+codeword; `enumerate_elements` reads those columns across as tuples.
 
 The subtype comes from a second reduction, full pivoting on an entry of
 globally minimal valuation at each step (`systematic_form`). Its pivots
@@ -91,65 +91,53 @@ def _first_nonzero(row) -> int | None:
     return None
 
 
-def _normalized(params: ChainRingParams, row: list[int], j: int, v: int) -> list[int]:
-    """Scale the row by a unit so entry j becomes exactly p^v."""
+def _normalized(params: ChainRingParams, row, j: int, pv: int) -> list[int]:
+    """Scale the row by a unit so entry j becomes exactly pv = p^v."""
     m = params.modulus
-    inv = params.unit_inverse(row[j] // params.p**v)
+    inv = params.unit_inverse(row[j] // pv)
     return [(inv * x) % m for x in row]
+
+
+def _reduce(row, piv, j: int, m: int):
+    """The row less (row[j] // piv[j]) * piv, the one row-reduction step of
+    this module: entry j ends below piv[j], at 0 when piv[j] divides it."""
+    q = row[j] // piv[j]
+    if not q:
+        return row
+    return [(x - q * y) % m for x, y in zip(row, piv)]
 
 
 def howell_form(mat: ModMatrix) -> ModMatrix:
     """The unique canonical generator matrix of the row span.
 
-    Rows are inserted into a pivot table one at a time. An incoming row is
-    reduced against existing pivots while its leading entry sits in an
-    occupied column with a pivot of no larger valuation; otherwise it is
-    unit-normalized and installed, displacing any weaker pivot back onto the
-    worklist. Installing a row with leading valuation v also enqueues its
-    closure p^{s-v} * row, which is what makes the final span Howell-closed.
-    A last pass reduces entries above each pivot modulo that pivot.
+    One sweep over the columns. At column j, of the nonzero rows left (all
+    zero before j), one of least valuation v at j is the pivot, scaled so
+    that its entry is exactly p^v = gcd(entry, p^s). `_reduce` clears column
+    j from the other rows and brings entry j of each earlier pivot below
+    p^v. The closure p^{s-v} * pivot, zero up to column j, joins the rows
+    left, which then span every span element zero up to column j: the
+    Howell closure.
     """
-    params = mat.params
-    p, s, m = params.p, params.s, params.modulus
-    pivots: dict[int, list[int]] = {}
-
-    def install(row: list[int], j: int, v: int) -> None:
-        row = _normalized(params, row, j, v)
-        pivots[j] = row
-        if v:
-            closure = [(p ** (s - v) * x) % m for x in row]
-            if any(closure):
-                work.append(closure)
-
-    work = [list(row) for row in mat.rows]
-    while work:
-        row = work.pop()
-        while True:
-            j = _first_nonzero(row)
-            if j is None:
-                break
-            v = params.valuation(row[j])
-            held = pivots.get(j)
-            if held is None:
-                install(row, j, v)
-                break
-            if row[j] % held[j] == 0:
-                q = row[j] // held[j]
-                row = [(x - q * y) % m for x, y in zip(row, held)]
-            else:
-                install(row, j, v)
-                work.append(held)
-                break
-
-    for j in sorted(pivots):
-        piv = pivots[j]
-        for j2, other in list(pivots.items()):
-            if j2 < j and other[j]:
-                q = other[j] // piv[j]
-                if q:
-                    pivots[j2] = [(x - q * y) % m for x, y in zip(other, piv)]
-
-    return ModMatrix(mat.params, mat.n, tuple(tuple(pivots[j]) for j in sorted(pivots)))
+    m = mat.params.modulus
+    rows, pivots = [row for row in mat.rows if any(row)], []
+    for j in range(mat.n):
+        hits = [row for row in rows if row[j]]
+        if not hits:
+            continue
+        pv, i = min((math.gcd(row[j], m), i) for i, row in enumerate(hits))
+        piv = _normalized(mat.params, hits.pop(i), j, pv)
+        if pv > 1:
+            hits.append([m // pv * x % m for x in piv])
+        rows = [row for row in rows if not row[j]]
+        for row in hits:
+            row = _reduce(row, piv, j, m)
+            if any(row):
+                rows.append(row)
+        pivots = [_reduce(row, piv, j, m) for row in pivots]
+        pivots.append(piv)
+        if not rows:
+            break
+    return ModMatrix(mat.params, mat.n, tuple(map(tuple, pivots)))
 
 
 def valuation_counts(values, bins: int) -> tuple[int, ...]:
@@ -185,9 +173,7 @@ def _residue(vec, H: ModMatrix, pivots: tuple[int, ...]) -> list[int]:
     m = H.params.modulus
     row = [int(x) % m for x in vec]
     for j, piv in zip(pivots, H.rows):
-        q = row[j] // piv[j]
-        if q:
-            row = [(x - q * y) % m for x, y in zip(row, piv)]
+        row = _reduce(row, piv, j, m)
     return row
 
 
@@ -299,15 +285,9 @@ def systematic_form(mat: ModMatrix) -> tuple[int, ...]:
             for j, x in enumerate(row)
             if x
         )
-        pivot = _normalized(params, rows.pop(i), j, v)
-        cleared = []
-        for row in rows:
-            q = row[j] // pivot[j]
-            if q:
-                row = [(x - q * y) % m for x, y in zip(row, pivot)]
-            if any(row):
-                cleared.append(row)
-        rows = cleared
+        pivot = _normalized(params, rows.pop(i), j, params.p**v)
+        cleared = (_reduce(row, pivot, j, m) for row in rows)
+        rows = [row for row in cleared if any(row)]
         diag.append(v)
     return tuple(diag)
 

@@ -149,6 +149,8 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
     times_p = {x: pack([p * t for t in vec]) for x, vec in decode.items()}
     preimages = {x: [] for x in decode}
     for x, px in times_p.items():
+        if px not in preimages:
+            raise InternalCheckError(f"p * {decode[x]} leaves the census parent")
         preimages[px].append(x)
     # element set -> the extension elements that built it, which span it
     found = {frozenset({0}): ()}
@@ -162,6 +164,8 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
         while queue:
             x = queue[0]
             child = frozenset(_span(base, (x,), translate, p - 1))
+            if x not in child:  # x would stay in the queue for ever
+                raise InternalCheckError(f"census child lacks its generator {decode[x]}")
             if child not in found:
                 found[child] = found[base] + (x,)
                 todo.append(child)

@@ -11,9 +11,10 @@ _subcode_floors); no Howell-form census or module intersection enters that
 reference. Containment between census entries is tested once per pair
 (_census_inside). verify_anticodes reads each census code's maximum weight in
 every metric off one pass over its element set, so no codeword is enumerated
-through Code, and takes each anticode's element set from the census entry
-whose digest is the anticode's module. verify_lattice counts maximal chains
-as cover paths of the poset oracle, top down, and enumerates no chain.
+through Code, takes each anticode's element set from the census entry
+whose digest is the anticode's module, and holds each hull to its entry's
+floors (_element_floors). verify_lattice counts maximal chains as cover
+paths of the poset oracle, top down, and enumerates no chain.
 """
 
 from __future__ import annotations
@@ -194,21 +195,23 @@ def _census_inside(census) -> list[list[int]]:
     ]
 
 
-def _subcode_floors(params: ChainRingParams, census) -> list[Counter]:
-    """For each census entry C, how many entries D inside C have each
-    (rank, floor), by element sets alone.
-
-    The floor of D is the minimum valuation of each coordinate over its
-    elements. D lies inside the anticode with exponents e iff floor >= e
-    componentwise, its hull is the anticode with exponents floor, and it is
-    nonzero at coordinate t iff floor_t < s.
-    """
+def _element_floors(params: ChainRingParams, census) -> list[tuple[int, ...]]:
+    """For each census entry D, its floor: the minimum valuation of each
+    coordinate over its elements. D lies inside the anticode with exponents
+    e iff floor >= e componentwise, so its hull, the least anticode that
+    contains it, has exponents floor; D is nonzero at t iff floor_t < s."""
     valuation = [params.valuation(x) for x in range(params.modulus)]
     coords = range(census.parent.n)
-    floors = [
+    return [
         tuple(min(valuation[v[t]] for v in entry.elements) for t in coords)
         for entry in census.entries
     ]
+
+
+def _subcode_floors(params: ChainRingParams, census) -> list[Counter]:
+    """For each census entry C, how many entries D inside C have each
+    (rank, floor), by element sets alone."""
+    floors = _element_floors(params, census)
     return [
         Counter((census.entries[j].rank, floors[j]) for j in inside)
         for inside in _census_inside(census)
@@ -303,10 +306,6 @@ def verify_counting(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP
     ]
 
 
-def _vector_in_anticode(params: ChainRingParams, vec, anticode: ac.Anticode) -> bool:
-    return all(params.valuation(x) >= e for x, e in zip(vec, anticode.exponents))
-
-
 def verify_anticodes(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP):
     params = ChainRingParams(p, s)
     census, codes = _census_codes(params, n, cap)
@@ -363,14 +362,10 @@ def verify_anticodes(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CA
         return None
 
     def check_hull_minimality():
-        for c in codes:
-            hl = ac.hull(c)
-            for B in all_anticodes:
-                includes = all(
-                    _vector_in_anticode(params, row, B) for row in c.gen.rows
-                )
-                if includes != ac.contains(B, hl):
-                    return f"hull wrong for {c.gen.rows} against {B.exponents}"
+        for c, floor in zip(codes, _element_floors(params, census)):
+            exponents = ac.hull(c).exponents
+            if exponents != floor:
+                return f"hull {exponents} != element-set floor {floor} for {c.gen.rows}"
         return None
 
     def check_anticode_duality():

@@ -20,8 +20,11 @@ Z9 = ChainRingParams(3, 2)
 
 RING_CHOICES = [
     ChainRingParams(2, 2),
+    ChainRingParams(2, 3),
+    ChainRingParams(2, 4),
     ChainRingParams(3, 1),
     ChainRingParams(3, 2),
+    ChainRingParams(3, 3),
     ChainRingParams(5, 1),
 ]
 
@@ -29,7 +32,7 @@ RING_CHOICES = [
 @st.composite
 def mod_matrices(draw):
     params = draw(st.sampled_from(RING_CHOICES))
-    n = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=5))
     k = draw(st.integers(min_value=0, max_value=3))
     rows = tuple(
         tuple(draw(st.integers(0, params.modulus - 1)) for _ in range(n))
@@ -79,6 +82,26 @@ def test_howell_idempotent():
     mat = ModMatrix(Z9, 3, ((1, 2, 0), (0, 3, 0), (3, 6, 0)))
     h = mx.howell_form(mat)
     assert mx.howell_form(h) == h
+
+
+@settings(max_examples=100, deadline=None)
+@given(mod_matrices())
+@example(ModMatrix(Z9, 2, ((3, 1),)))
+@example(ModMatrix(ChainRingParams(2, 4), 3, ((4, 2, 1), (8, 12, 6))))
+def test_howell_form_meets_its_definition(mat):
+    """Echelon rows with pivot entries p^v, the entries above each pivot
+    below it, and Howell closure: p^(s-v) times a row, zero up to its
+    pivot column, lies in the span of the later rows alone."""
+    params, n = mat.params, mat.n
+    p, s, m = params.p, params.s, params.modulus
+    h = mx.howell_form(mat)
+    cols = mx.pivot_columns(h)
+    assert all(a < b for a, b in zip(cols, cols[1:]))
+    for i, (row, j) in enumerate(zip(h.rows, cols)):
+        assert row[j] in {p**v for v in range(s)}
+        assert all(above[j] < row[j] for above in h.rows[:i])
+        closure = tuple(m // row[j] * x % m for x in row)
+        assert closure in span_elements(params, n, h.rows[i + 1 :])
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,6 +374,41 @@ def test_submodule_census_is_the_oracle_census_digests():
     ):
         entries = oracle.enumerate_submodules(mat, 3**7).entries
         assert mx.submodule_census(mat) == [entry.mat for entry in entries]
+
+
+def _unimodular_recombination(rng, params, rows):
+    """The rows under random elementary operations: adding a multiple of
+    one row to another, scaling a row by a unit, reordering."""
+    m = params.modulus
+    units = [u for u in range(1, m) if u % params.p]
+    rows = [list(row) for row in rows]
+    for _ in range(3 * len(rows)):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        if i != j:
+            c = rng.randrange(m)
+            rows[i] = [(x + c * y) % m for x, y in zip(rows[i], rows[j])]
+        u = rng.choice(units)
+        rows[j] = [u * x % m for x in rows[j]]
+    rng.shuffle(rows)
+    return tuple(map(tuple, rows))
+
+
+# (p, s, n): (Z/9)^2, (Z/8)^2, F_2^4, (Z/4)^3.
+@pytest.mark.parametrize("p, s, n", [(3, 2, 2), (2, 3, 2), (2, 1, 4), (2, 2, 3)])
+def test_every_presentation_of_a_census_module_gives_its_digest(p, s, n):
+    # The Howell form is unique, so any generating set of a module, drawn
+    # from its element set or recombined from its rows, gives the digest.
+    params = ChainRingParams(p, s)
+    rng = random.Random(f"presentations-{p}-{s}-{n}")
+    for entry in oracle.enumerate_submodules(ModMatrix.full(params, n)).entries:
+        elems = sorted(entry.elements)
+        gens = [rng.choice(elems) for _ in range(2)]
+        while span_elements(params, n, gens) != entry.elements:
+            gens.append(rng.choice(elems))
+        assert mx.howell_form(ModMatrix(params, n, tuple(gens))) == entry.mat
+        if entry.mat.rows:
+            mixed = _unimodular_recombination(rng, params, entry.mat.rows)
+            assert mx.howell_form(ModMatrix(params, n, mixed)) == entry.mat
 
 
 def test_mixed_space_operations_rejected():

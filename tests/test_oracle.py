@@ -1,4 +1,7 @@
+import inspect
 import math
+import signal
+from contextlib import contextmanager
 from itertools import accumulate
 
 import pytest
@@ -164,6 +167,59 @@ def test_census_rejects_a_digest_that_spans_too_little(monkeypatch):
     monkeypatch.setattr(oracle, "howell_form", drops_last_row)
     with pytest.raises(InternalCheckError):
         oracle.enumerate_submodules(ModMatrix.full(Z9, 2))
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block after the given wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _one_coset_short(span):
+    def planted(module, gens, translate, bound):
+        return span(module, gens, translate, bound - 1)
+
+    return planted
+
+
+def _no_spare_bit(packing):
+    # the same function with fields of m.bit_length() bits, too narrow for
+    # a sum below 2m
+    source = inspect.getsource(packing)
+    assert "w = m.bit_length() + 1" in source
+    namespace = {}
+    exec(source.replace("w = m.bit_length() + 1", "w = m.bit_length()"), namespace)
+    return namespace[packing.__name__]
+
+
+# A broken span or packing must make the census raise InternalCheckError at
+# once, not loop forever or escape as a KeyError: (attribute, fault).
+CENSUS_FAULTS = {
+    "span_one_coset_short": ("_span", _one_coset_short),
+    "packing_without_spare_bit": ("_packing", _no_spare_bit),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CENSUS_FAULTS))
+def test_broken_census_arithmetic_raises_at_once(fault, monkeypatch, capsys):
+    attr, plant = CENSUS_FAULTS[fault]
+    monkeypatch.setattr(oracle, attr, plant(getattr(oracle, attr)))
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    with _deadline(20):
+        with pytest.raises(InternalCheckError):
+            oracle.enumerate_submodules(ModMatrix.full(Z9, 2))
+        assert cli.main(["verify", "counting", "--format", "text"]) == 3
+    assert "internal check failed" in capsys.readouterr().err
 
 
 def test_enumerate_submodules_cap():

@@ -129,6 +129,17 @@ def _drops_last_generator(restrict):
     return planted
 
 
+def _lowers_a_positive_exponent(hull):
+    def planted(code):
+        exps = list(hull(code).exponents)
+        t = next((t for t, e in enumerate(exps) if e), None)
+        if t is not None:
+            exps[t] -= 1
+        return ac.Anticode(code.params, tuple(exps))
+
+    return planted
+
+
 TABLES = "invariant tables satisfy both identities"
 
 # Each production route with one planted fault: (owner, attribute, fault,
@@ -184,6 +195,10 @@ PLANTED = {
     "hom_bound_scaled": (
         ac, "hom_bound_scaled", _off_by_one, "anticodes",
         "homogeneous bound holds on the census",
+    ),
+    "hull": (
+        ac, "hull", _lowers_a_positive_exponent, "anticodes",
+        "hull is the minimal covering anticode",
     ),
     "column_weights": (
         vf, "column_weights", _drops_last_column, "anticodes",
