@@ -247,6 +247,9 @@ def cmd_code(args, cap: int | None) -> _Output:
         return _Output(analysis_record(code, capv))
 
     if args.action == "dual":
+        # The kernel eliminates [H^T | I], n rows of k + n entries.
+        n = code.n
+        guard_cap(n * (len(code.gen.rows) + n), capv, "kernel matrix entries")
         dual = code.dual()
         record = {
             **shape,

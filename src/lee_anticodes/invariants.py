@@ -10,21 +10,21 @@ C cap A by chain_bracket sums over its extended subtype. The table reads
 that subtype off sizes alone: C is enumerated once, a coordinate at a
 time, into a histogram of valuation vectors, whose suffix sums along each
 coordinate give |C cap A_e| for all (s+1)^n anticodes A_e together, and
-(C cap A_e)[p^i] = C cap A_max(e, s-i) gives the subtype. The weight
-distribution W(A, j) counts those subcodes whose hull is exactly A: it is
-the Moebius inversion of B over the anticodes, a product of chains (Rota
-1964), taken as one difference step per coordinate. Each pass over the
-(s+1)^n cells is n strided sweeps (`_sweep`), and no index table is kept.
-The aggregates B_a^(j) and W_a^(j) sum over family(a), keyed by a code of
-each cell's digit counts (`_shape_codes`). Each cell's B row is packed into
-one integer, one signed digit per rank j, wide enough for every partial
-difference and family sum, so one difference pass and one family loop
-serve every j. Grouping the B count by the hull gives
+(C cap A_e)[p^i] = C cap A_max(e, s-i) gives the subtype. Each pass over
+the (s+1)^n cells is n strided sweeps (`_sweep`), and no index table is
+kept. The aggregate B_a^(j) sums over family(a): the bracket row of each
+subtype counts once per cell of that subtype whose digit counts are a,
+read off a code of the cell (`_shape_codes`). The weight distribution
+W(A, j) counts those subcodes whose hull is exactly A: it is the Moebius
+inversion of B over the anticodes, a product of chains (Rota 1964).
+Grouping the B count by the hull gives
 
     B_a^(j) = sum over b dominated by a of W_b^(j) * count_containing(b, a)
 
 whose unitriangular inversion has the signed binomial coefficients of
-`inversion_coefficient`.
+`inversion_coefficient`. The table takes each W_a^(j) from B by them,
+over the shapes b of the anticodes A + 1_T, A in family(a), the only ones
+with a nonzero coefficient.
 
 rank(C cap A) is the dimension of the socle C[p] cap A[p], and A[p] is
 p^(s-1)R on the n - a_s coordinates with e_t < s and 0 elsewhere. So the
@@ -51,6 +51,7 @@ import hashlib
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -153,15 +154,20 @@ def inversion_coefficient(b, a) -> int:
     whenever some m_t is negative or exceeds b_t.
     """
     a, b = check_pair(a, b)
-    ah, bh = prefix_sums(a), prefix_sums(b)
+    return _inversion(prefix_sums(b), prefix_sums(a))
+
+
+def _inversion(bh, ah) -> int:
+    """`inversion_coefficient` read off the prefix sums of b and a, with
+    b_t = b_hat_t - b_hat_{t-1}."""
     sign_exp = 0
     out = 1
-    for t in range(1, len(a)):
-        m = ah[t - 1] - bh[t - 1]
-        if m < 0 or m > b[t]:
+    for t in range(1, len(ah)):
+        m, b_t = ah[t - 1] - bh[t - 1], bh[t] - bh[t - 1]
+        if m < 0 or m > b_t:
             return 0
         sign_exp += m
-        out *= math.comb(b[t], m)
+        out *= math.comb(b_t, m)
     return -out if sign_exp % 2 else out
 
 
@@ -235,19 +241,6 @@ def _suffix_sums(grid: list[int], n: int, s: int) -> list[int]:
     return _sweep(grid, n, s, combine)
 
 
-def _differences(grid: list[int], n: int, s: int) -> list[int]:
-    """The inverse of _suffix_sums, Moebius inversion over the anticodes:
-    the grid of the sums over T of (-1)^|T| grid[e + 1_T], the sets T of
-    coordinates with e_t < s. Along each coordinate slice d subtracts
-    slice d + 1, and slice s stays."""
-
-    def combine(slices):
-        steps = [list(map(operator.sub, x, y)) for x, y in zip(slices, slices[1:])]
-        return steps + [slices[s]]
-
-    return _sweep(grid, n, s, combine)
-
-
 def _clamped(grid: list, n: int, s: int, floor: int) -> list:
     """grid[max(e, floor)] at each cell e: along each coordinate the slices
     below floor become copies of slice floor."""
@@ -262,29 +255,6 @@ def _shape_codes(n: int, s: int) -> list[int]:
     for _ in range(n):
         codes = [x + w for x in codes for w in weights]
     return codes
-
-
-def _pack(digits, width: int) -> int:
-    """sum_j digits[j] * 2^(j * width), exact for digits of any sign."""
-    out = 0
-    for d in reversed(digits):
-        out = (out << width) + d
-    return out
-
-
-def _unpack(packed: int, width: int, count: int) -> list[int]:
-    """The count signed digits of `_pack`, each of absolute value below
-    2^(width - 1): the lowest digit is the residue of packed modulo 2^width
-    nearest to 0, and the rest is packed less it, shifted down."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    out = []
-    for _ in range(count):
-        d = packed & mask
-        if d >= half:
-            d -= 1 << width
-        out.append(d)
-        packed = (packed - d) >> width
-    return out
 
 
 def _subtype_from_sizes(levels: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -517,16 +487,12 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
     """Compute the full B/W tables and R-weight chains.
 
     Each anticode gets one B row, the bracket sums over the extended subtype
-    of C cap A (`_meet_subtypes`), computed once per distinct subtype and
-    packed into one integer of rank + 1 signed digits (`_pack`). No digit
-    of a partial difference or family sum exceeds top * (2(s+1))^n in
-    absolute value, top the largest bracket entry: the difference pass adds
-    at most 2^n entries and a family at most (s+1)^n cells. So W is one
-    difference pass over the packed grid of B, one pass keyed by the shape
-    code of each cell (`_shape_codes`) sums B and W over each family, and
-    each sum is read back digit by digit (`_unpack`). The work is one
-    enumeration of C; a code with more than cap words, or a length with
-    more than cap anticodes, is refused before it starts.
+    of C cap A (`_meet_subtypes`), computed once per distinct subtype. B_a
+    adds each row once per cell of its subtype with digit counts a, and
+    W_a is the sum of inversion_coefficient(b, a) * B_b over the b of
+    nonzero coefficient. The work is one enumeration of C; a code with more
+    than cap words, or a length with more than cap anticodes, is refused
+    before it starts.
     """
     guard_cap(code.size, cap, "codeword enumeration")
     params, n = code.params, code.n
@@ -536,25 +502,27 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
     rows_by_ext = {
         ext: _bracket_moments(ext, params.p, jmax) for ext in dict.fromkeys(subtypes)
     }
-    top = max(abs(x) for row in rows_by_ext.values() for x in row)
-    width = (top * (2 * (s + 1)) ** n).bit_length() + 2
-    packed_by_ext = {ext: _pack(row, width) for ext, row in rows_by_ext.items()}
-    b_grid = [packed_by_ext[ext] for ext in subtypes]
     shapes = _shapes(n, s)
     # Keyed by the code of `_shape_codes` of each shape, in `_shapes` order.
-    keys = (sum(x * (n + 1) ** d for d, x in enumerate(a)) for a in shapes)
-    b_sums = dict.fromkeys(keys, 0)
-    w_sums = dict(b_sums)
-    for key, b, w in zip(_shape_codes(n, s), b_grid, _differences(b_grid, n, s)):
-        b_sums[key] += b
-        w_sums[key] += w
+    b_rows = {
+        sum(x * (n + 1) ** d for d, x in enumerate(a)): [0] * (jmax + 1) for a in shapes
+    }
+    for (key, ext), count in Counter(zip(_shape_codes(n, s), subtypes)).items():
+        b_rows[key] = [x + count * y for x, y in zip(b_rows[key], rows_by_ext[ext])]
+    b_by_hat = {prefix_sums(a): row for a, row in zip(shapes, b_rows.values())}
+    w_rows = []
+    for a, ah in zip(shapes, b_by_hat):
+        # The b of A + 1_T, A in family(a): d_t of the a_t coordinates at
+        # exponent t < s raised by one, so b_hat_t = a_hat_t - d_t.
+        row = [0] * (jmax + 1)
+        for d in itertools.product(*(range(x + 1) for x in a[:-1])):
+            bh = (*map(operator.sub, ah, d), n)
+            coeff = _inversion(bh, ah)
+            row = [x + coeff * y for x, y in zip(row, b_by_hat[bh])]
+        w_rows.append(row)
     moments, weights = (
-        {
-            (a, j): x
-            for a, total in zip(shapes, sums.values())
-            for j, x in enumerate(_unpack(total, width, jmax + 1))
-        }
-        for sums in (b_sums, w_sums)
+        {(a, j): x for a, row in zip(shapes, rows) for j, x in enumerate(row)}
+        for rows in (b_by_hat.values(), w_rows)
     )
     return InvariantTable(
         params=params,

@@ -8,11 +8,15 @@ sets span the same module iff their Howell forms are identical, which makes
 module equality, deduplication, and counting reliable. `howell_form` builds
 it in one sweep over the columns. Its eliminations, membership (`_residue`,
 at the pivot columns a `Code` reads once) and `systematic_form` all take
-the one step `_reduce`: a row less (row[j] // piv[j]) * piv. A row with
-pivot p^v has additive order p^s / p^v (`_pivot_orders`). The span is
-listed a coordinate at a time (`element_columns`): one list per column,
-grown by one Howell row at a time, so that the invariant table builds no
-codeword; `enumerate_elements` reads those columns across as tuples.
+the one step `_reduce`: a row less (row[j] // piv[j]) * piv. With pivot
+p^v, p^(s-v) * row is zero up to and including its pivot column, so it
+lies in the span of the later rows, and the coefficients 0 <= c < p^(s-v)
+of each row list every span element once (`_pivot_orders`). p^(s-v) is
+the order of the pivot entry, not of the row: over Z/9 the Howell row
+(3, 1) of span{(3,1)} has order 9. The span is listed a coordinate at a
+time (`element_columns`): one list per column, grown by one Howell row at
+a time, so that the invariant table builds no codeword;
+`enumerate_elements` reads those columns across as tuples.
 
 The subtype comes from a second reduction, full pivoting on an entry of
 globally minimal valuation at each step (`systematic_form`). Its pivots
@@ -156,8 +160,8 @@ def pivot_columns(H: ModMatrix) -> tuple[int, ...]:
 
 
 def _pivot_orders(H: ModMatrix) -> list[int]:
-    """The additive order p^{s-v} of each row of a Howell form, whose pivot
-    entries are exactly p^v."""
+    """p^{s-v} for each Howell row with pivot entry p^v: the order of that
+    entry, and of the row modulo the span of the later rows."""
     m = H.params.modulus
     return [m // row[j] for row, j in zip(H.rows, pivot_columns(H))]
 

@@ -61,12 +61,6 @@ class ChainRingParams:
         if self.p == 2:
             raise ValueError("operation requires an odd prime p")
 
-    @property
-    def max_lee(self) -> int:
-        """Largest Lee weight of a single residue, (p^s - 1) / 2; odd p only."""
-        self.require_odd()
-        return (self.modulus - 1) // 2
-
     def valuation(self, x: int) -> int:
         """Largest i <= s with p^i dividing x, where valuation(0) = s."""
         x %= self.modulus

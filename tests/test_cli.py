@@ -521,6 +521,24 @@ def test_code_dual_over_large_prime_finishes(tmp_path):
     assert proc.stdout == "1000000000000000003 1 2\n1 400000000000000001\n"
 
 
+def test_code_dual_guards_its_kernel_matrix(capsys, tmp_path, code_file, monkeypatch):
+    # The zero code of length 100000: its kernel would eliminate a
+    # 100000 x 100000 identity.
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    path = tmp_path / "zero.txt"
+    path.write_text("3 2 100000\n")
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "code", str(path), "dual")
+    assert time.perf_counter() - start < 5
+    assert (status, out) == (2, "")
+    assert "kernel matrix entries: 10000000000 exceeds cap 1000000" in err
+    # n = 3 with two Howell rows: [H^T | I] has 3 * (2 + 3) entries.
+    assert run_cli(capsys, "code", code_file, "dual", "--cap", "15")[0] == 0
+    status, out, err = run_cli(capsys, "code", code_file, "dual", "--cap", "14")
+    assert (status, out) == (2, "")
+    assert "kernel matrix entries: 15 exceeds cap 14" in err
+
+
 def test_prime_from_2_64_exits_1(capsys, tmp_path):
     path = tmp_path / "huge.txt"
     path.write_text(f"{2**64 + 13} 1 2\n1 5\n")

@@ -250,23 +250,29 @@ def test_cell_counts_match_a_count_per_word(p, s, n):
         assert inv._cell_counts(Code(entry.mat), inv.DEFAULT_CENSUS_CAP) == want
 
 
-def _tables_by_columns(code: Code) -> tuple[dict, dict]:
-    """B and W with the B grid unpacked: one difference pass per rank j, and
-    each family summed entry by entry."""
+def _tables_by_cells(code: Code) -> tuple[dict, dict]:
+    """B and W summed over each family cell by cell, W at the cell e by its
+    definition: the sum over the sets T of coordinates with e_t < s of
+    (-1)^|T| B(e + 1_T)."""
     params, n, jmax = code.params, code.n, code.rank
     s = params.s
-    rows = [inv._bracket_moments(ext, params.p, jmax) for ext in inv._meet_subtypes(code)]
-    shapes = [
-        tuple(e.count(d) for d in range(s + 1))
-        for e in itertools.product(range(s + 1), repeat=n)
-    ]
+    cells = list(itertools.product(range(s + 1), repeat=n))
+    rows = {
+        e: inv._bracket_moments(ext, params.p, jmax)
+        for e, ext in zip(cells, inv._meet_subtypes(code))
+    }
     keys = [(a, j) for a in compositions(s + 1, n) for j in range(jmax + 1)]
     moments, weights = dict.fromkeys(keys, 0), dict.fromkeys(keys, 0)
-    for j in range(jmax + 1):
-        column = [row[j] for row in rows]
-        for a, b, w in zip(shapes, column, inv._differences(list(column), n, s)):
-            moments[(a, j)] += b
-            weights[(a, j)] += w
+    for e in cells:
+        a = tuple(e.count(d) for d in range(s + 1))
+        steps = [(0, 1) if x < s else (0,) for x in e]
+        raised = [
+            ((-1) ** sum(delta), rows[tuple(map(sum, zip(e, delta)))])
+            for delta in itertools.product(*steps)
+        ]
+        for j in range(jmax + 1):
+            moments[(a, j)] += rows[e][j]
+            weights[(a, j)] += sum(sign * row[j] for sign, row in raised)
     return moments, weights
 
 
@@ -278,10 +284,10 @@ def _wide_codes():
     yield Code.full(ChainRingParams(11, 1), 3)
 
 
-def test_packed_pass_matches_the_per_column_reference():
+def test_table_matches_the_per_cell_reference():
     for code in _wide_codes():
         table = inv.build_invariant_table(code)
-        moments, weights = _tables_by_columns(code)
+        moments, weights = _tables_by_cells(code)
         assert table.binomial_moments == moments, code.gen.rows
         assert table.weight_distributions == weights, code.gen.rows
 
@@ -310,21 +316,12 @@ def test_sweeps_match_the_per_cell_definitions(case):
         sum(at[f] for f in itertools.product(*(range(x, s + 1) for x in e)))
         for e in cells
     ]
-    steps = [[(0, 1) if x < s else (0,) for x in e] for e in cells]
-    assert inv._differences(grid, n, s) == [
-        sum(
-            (-1) ** sum(delta) * at[tuple(map(sum, zip(e, delta)))]
-            for delta in itertools.product(*step)
-        )
-        for e, step in zip(cells, steps)
-    ]
-    assert inv._differences(sums, n, s) == grid
     for floor in range(s + 1):
         assert inv._clamped(grid, n, s, floor) == [
             at[tuple(max(x, floor) for x in e)] for e in cells
         ]
-    # build_invariant_table zips a pass with its input, so no pass may
-    # change the list it is given.
+    # _meet_subtypes clamps one grid s + 1 times, so no pass may change the
+    # list it is given.
     assert grid == before
     for e, code in zip(cells, inv._shape_codes(n, s)):
         assert [code // (n + 1) ** d % (n + 1) for d in range(s + 1)] == [
@@ -335,44 +332,15 @@ def test_sweeps_match_the_per_cell_definitions(case):
 def test_sweeps_at_one_coordinate_and_at_s_1():
     # n = 1, s = 2: the cells e = 0, 1, 2.
     assert inv._suffix_sums([3, 5, 7], 1, 2) == [15, 12, 7]
-    assert inv._differences([3, 5, 7], 1, 2) == [-2, -2, 7]
     assert [inv._clamped([3, 5, 7], 1, 2, f) for f in range(3)] == [
         [3, 5, 7], [5, 5, 7], [7, 7, 7],
     ]
     assert inv._shape_codes(1, 2) == [1, 2, 4]
     # n = 2, s = 1: the cells 00, 01, 10, 11.
     assert inv._suffix_sums([1, 2, 4, 8], 2, 1) == [15, 10, 12, 8]
-    assert inv._differences([1, 2, 4, 8], 2, 1) == [3, -6, -4, 8]
     assert inv._clamped([1, 2, 4, 8], 2, 1, 0) == [1, 2, 4, 8]
     assert inv._clamped([1, 2, 4, 8], 2, 1, 1) == [8, 8, 8, 8]
     assert inv._shape_codes(2, 1) == [2, 4, 4, 6]
-
-
-@st.composite
-def signed_digit_pairs(draw):
-    """A digit width and two digit lists of one length, each digit of
-    absolute value below 2^(width - 2), so that their difference stays
-    below 2^(width - 1)."""
-    width = draw(st.integers(2, 96))
-    digits = st.integers(-(2 ** (width - 2)) + 1, 2 ** (width - 2) - 1)
-    size = draw(st.integers(1, 8))
-    return width, *(draw(st.lists(digits, min_size=size, max_size=size)) for _ in "xy")
-
-
-@settings(max_examples=200, deadline=None)
-@given(signed_digit_pairs())
-@example((2, [0, 0], [0, 0]))
-@example((40, [-(2**38) + 1, 2**38 - 1, -1], [2**38 - 1, -(2**38) + 1, 1]))
-def test_packed_digits_round_trip_and_subtract(case):
-    """Packing is exact for digits of either sign, and the difference of two
-    packed rows unpacks to the difference of the rows, as the difference
-    pass needs."""
-    width, xs, ys = case
-    packed_x, packed_y = inv._pack(xs, width), inv._pack(ys, width)
-    assert inv._unpack(packed_x, width, len(xs)) == xs
-    assert inv._unpack(packed_x - packed_y, width, len(xs)) == [
-        x - y for x, y in zip(xs, ys)
-    ]
 
 
 def _free_shape(m: int, s: int, n: int) -> tuple[int, ...]:

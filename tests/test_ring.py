@@ -114,8 +114,6 @@ def test_odd_prime_guard():
     with pytest.raises(ValueError):
         even.require_odd()
     with pytest.raises(ValueError):
-        _ = even.max_lee
-    with pytest.raises(ValueError):
         even.ideal_max_lee(0)
     assert even.lee_weight(3) == 1
 

@@ -150,7 +150,6 @@ PLANTED = {
     "subtype_from_sizes": (
         inv, "_subtype_from_sizes", _swaps_first_two_parts, "invariants", TABLES,
     ),
-    "differences": (inv, "_differences", _from_the_wrong_end, "invariants", TABLES),
     "clamped": (inv, "_clamped", _clamps_one_below, "invariants", TABLES),
     "shape_codes": (
         inv, "_shape_codes", _swaps_two_digit_weights, "invariants", TABLES,
@@ -164,6 +163,7 @@ PLANTED = {
     "inversion_coefficient": (
         inv, "inversion_coefficient", _off_by_one, "invariants", TABLES,
     ),
+    "inversion": (inv, "_inversion", _off_by_one, "invariants", TABLES),
     "count_inside": (
         inv, "count_inside", _off_by_one, "invariants",
         "pair counts match double enumeration",
