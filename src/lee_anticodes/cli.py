@@ -4,7 +4,10 @@ Subcommands: `lattice` explores the dominance lattice, `code` analyzes a
 generator matrix file, `invariants` emits B/W tables and R-weight chains,
 `verify` runs the oracle-vs-closed-form suites. Output goes to stdout in
 JSON by default (`--format text|csv|dot` otherwise); diagnostics go to
-stderr. Identical inputs produce byte-identical outputs.
+stderr. Identical inputs produce byte-identical outputs. The JSON is the
+text of json.dumps(record, indent=2), written by a small recursive writer
+(`_json`) instead, since with `indent` the standard library falls back to
+its pure-Python encoder.
 
 Exit codes: 0 success, 1 usage or input error, 2 enumeration cap exceeded,
 3 internal cross-check failure (a violated theorem, never user error).
@@ -18,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import anticodes as ac
 from . import dominance as comp
@@ -152,15 +156,58 @@ def _flatten(record: dict, prefix: str = ""):
             yield name, value
 
 
+def _json(value, indent: str = "\n") -> str:
+    """The bytes of json.dumps(value, indent=2), without the standard
+    library's pure-Python encoder, which it takes whenever `indent` is set.
+
+    `indent` is the newline and spaces before an item at the current depth.
+    Containers join their items on "," plus the next depth's indent; ints
+    are written by int.__repr__, an all-int list in one join; strings go
+    through encode_basestring_ascii, true, false and null are literals, and
+    any other scalar goes through json.dumps.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(key)}: "
+            f"{int.__repr__(x) if type(x) is int else _json(x, inner)}"
+            for key, x in value.items()
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_json(x, inner) for x in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _render(fmt: str | None, action: str, out: _Output, flat: bool) -> str:
     """The bytes of `out` in format `fmt`: the one place formats are decided.
 
-    The default is DOT where there is a DOT form, JSON otherwise. With `flat`,
-    a missing text or CSV form falls back to the flattened record.
+    The default is DOT where there is a DOT form, JSON otherwise. JSON is
+    the bytes of json.dumps(out.record, indent=2) plus a newline, written by
+    `_json`. With `flat`, a missing text or CSV form falls back to the
+    flattened record.
     """
     fmt = fmt or ("json" if out.dot is None else "dot")
     if fmt == "json":
-        return json.dumps(out.record, indent=2) + "\n"
+        return _json(out.record) + "\n"
     if fmt == "dot" and out.dot is not None:
         return out.dot
     if fmt == "text" and out.text is not None:

@@ -6,7 +6,10 @@ a = (a_0, ..., a_s) of n ordered by dominance; the fixed linear extension is
 lexicographic order on prefix sums (dominance.linear_key).
 
 The binomial moment B(A, j) of a code C counts the rank-j subcodes of
-C cap A by chain_bracket sums over its extended subtype. The table reads
+C cap A by chain_bracket sums over its extended subtype, which one walk
+over prefix sums gives for every j at once (`_bracket_moments`): the
+transfer recursion behind Birkhoff's subgroup count, O(s * n^2) products
+per subtype. The table reads
 that subtype off sizes alone: C is enumerated once, a coordinate at a
 time, into a histogram of valuation vectors, whose suffix sums along each
 coordinate give |C cap A_e| for all (s+1)^n anticodes A_e together, and
@@ -22,9 +25,11 @@ Grouping the B count by the hull gives
     B_a^(j) = sum over b dominated by a of W_b^(j) * count_containing(b, a)
 
 whose unitriangular inversion has the signed binomial coefficients of
-`inversion_coefficient`. The table takes each W_a^(j) from B by them,
-over the shapes b of the anticodes A + 1_T, A in family(a), the only ones
-with a nonzero coefficient.
+`inversion_coefficient`. The b of nonzero coefficient are the shapes of
+the anticodes A + 1_T, A in family(a): d_t of the a_t parts at t < s move
+to t + 1. The coefficient is a product of one signed binomial per t, so
+the table takes W from B in s passes over the shapes, one per t
+(`_inversion_pass`).
 
 rank(C cap A) is the dimension of the socle C[p] cap A[p], and A[p] is
 p^(s-1)R on the n - a_s coordinates with e_t < s and 0 elsewhere. So the
@@ -202,13 +207,31 @@ def _subcode_stats(code: Code, cap: int) -> tuple[tuple[int, tuple[int, ...]], .
 
 def _bracket_moments(ext, q: int, jmax: int) -> list[int]:
     """Rank-j submodule counts, j <= jmax, of a module of extended subtype ext:
-    the sums of chain_bracket(ext, b) over the b with b_s = n - j."""
-    n, s = sum(ext), len(ext) - 1
-    row = [0] * (jmax + 1)
-    for b in _shapes(n, s):
-        if n - b[s] <= jmax:
-            row[n - b[s]] += chain_bracket(ext, b, q)
-    return row
+    the sums of chain_bracket(ext, b) over the b with b_s = n - j.
+
+    A b is the path of its prefix sums 0 <= y_0 <= ... <= y_(s-1) = n - b_s
+    with y_i <= a_hat_i, and chain_bracket is a product of one factor per
+    step, q^((a_hat_i - y) * x) * [a_hat_i - x, y - x]_q from x = y_(i-1)
+    to y = y_i. So the sums come from one walk over prefix sums, the
+    transfer recursion behind Birkhoff's subgroup count (Butler 1994):
+    V_(-1) = {0: 1}, V_i(y) = sum over x <= y of V_(i-1)(x) times that
+    factor, for y <= min(a_hat_i, jmax), and row[j] = V_(s-1)(j). A path
+    that ends at j <= jmax stays at or below j, so no term is cut off. For
+    each x the Gaussian binomial follows y by
+    [N, k+1]_q = [N, k]_q * (q^(N-k) - 1) / (q^(k+1) - 1), exactly. The
+    work is O(s * n^2) products, where summing chain_bracket over the
+    shapes takes C(n+s, s) calls of O(s) each.
+    """
+    vals = [1]
+    for top in prefix_sums(ext)[:-1]:
+        new = [0] * (min(top, jmax) + 1)
+        for x, v in enumerate(vals):
+            gauss = 1
+            for y in range(x, len(new)):
+                new[y] += v * q ** ((top - y) * x) * gauss
+                gauss = gauss * (q ** (top - y) - 1) // (q ** (y - x + 1) - 1)
+        vals = new
+    return vals + [0] * (jmax + 1 - len(vals))
 
 
 def _sweep(grid: list, n: int, s: int, combine) -> list:
@@ -291,22 +314,40 @@ def _meet_subtypes(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int,
 
     Suffix sums of the cell counts (`_cell_counts`) give |C cap A_e|, and
     (C cap A_e)[p^i] is C cap A_max(e, s-i), so its size is read at the
-    clamped cell.
+    clamped cell. The clamp at s is the zero module and the clamp at 0 the
+    grid itself, so only the floors 1..s-1 are swept; each distinct levels
+    tuple gives its subtype once.
     """
     params, n = code.params, code.n
     p, s = params.p, params.s
     sizes = _suffix_sums(_cell_counts(code, cap), n, s)
     log_p = {p**k: k for k in range(s * n + 1)}
     try:
-        logs = [log_p[size] for size in sizes]
+        logs = list(map(log_p.__getitem__, sizes))
     except KeyError as exc:
         raise InternalCheckError(f"|C cap A| = {exc.args[0]} is no power of {p}") from None
-    by_levels: dict = {}
-    out = []
-    for levels in zip(*(_clamped(logs, n, s, s - i) for i in range(s + 1))):
-        if levels not in by_levels:
-            by_levels[levels] = _subtype_from_sizes(levels, n)
-        out.append(by_levels[levels])
+    levels = list(zip(*(_clamped(logs, n, s, s - i) for i in range(1, s)), logs))
+    subtype = {lv: _subtype_from_sizes((0, *lv), n) for lv in dict.fromkeys(levels)}
+    return list(map(subtype.__getitem__, levels))
+
+
+def _inversion_pass(rows: dict, shapes, n: int, t: int) -> dict:
+    """One coordinate of the inversion of B into W: the rows, keyed by shape
+    code in `shapes` order, go to (U_t F)(c) = sum over d <= c_t of
+    (-1)^d * C(c_(t+1) + d, d) * F(c - d e_t + d e_(t+1)). Moving d parts
+    from t to t + 1 adds d * ((n+1)^(t+1) - (n+1)^t) to the code. A shape
+    with c_t = 0 keeps its row."""
+    step = (n + 1) ** (t + 1) - (n + 1) ** t
+    signed = [
+        [(-1) ** d * math.comb(m + d, d) for d in range(n - m + 1)] for m in range(n + 1)
+    ]
+    out = dict(rows)
+    for c, key in zip(shapes, rows):
+        if c[t]:
+            out[key] = [
+                sum(map(operator.mul, signed[c[t + 1]], col))
+                for col in zip(*(rows[key + d * step] for d in range(c[t] + 1)))
+            ]
     return out
 
 
@@ -490,39 +531,34 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
     of C cap A (`_meet_subtypes`), computed once per distinct subtype. B_a
     adds each row once per cell of its subtype with digit counts a, and
     W_a is the sum of inversion_coefficient(b, a) * B_b over the b of
-    nonzero coefficient. The work is one enumeration of C; a code with more
-    than cap words, or a length with more than cap anticodes, is refused
-    before it starts.
+    nonzero coefficient, (-1)^(sum d) * prod_t C(a_(t+1) - d_(t+1) + d_t, d_t)
+    for b = a - sum_t d_t (e_t - e_(t+1)): pass t of `_inversion_pass`
+    takes the factor of t, on the shape the passes above t have left. The
+    work is one enumeration of C; a code with more than cap words, a length
+    with more than cap anticodes, or a table of more than cap entries
+    (shapes times ranks 0..rank(C)) is refused before it starts.
     """
     guard_cap(code.size, cap, "codeword enumeration")
     params, n = code.params, code.n
     s, jmax = params.s, code.rank
     guard_cap((s + 1) ** n, cap, "anticode count")
+    guard_cap(math.comb(n + s, s) * (jmax + 1), cap, "table entries")
     subtypes = _meet_subtypes(code, cap)
     rows_by_ext = {
         ext: _bracket_moments(ext, params.p, jmax) for ext in dict.fromkeys(subtypes)
     }
     shapes = _shapes(n, s)
     # Keyed by the code of `_shape_codes` of each shape, in `_shapes` order.
-    b_rows = {
-        sum(x * (n + 1) ** d for d, x in enumerate(a)): [0] * (jmax + 1) for a in shapes
-    }
+    powers = [(n + 1) ** d for d in range(s + 1)]
+    b_rows = {sum(map(operator.mul, a, powers)): [0] * (jmax + 1) for a in shapes}
     for (key, ext), count in Counter(zip(_shape_codes(n, s), subtypes)).items():
         b_rows[key] = [x + count * y for x, y in zip(b_rows[key], rows_by_ext[ext])]
-    b_by_hat = {prefix_sums(a): row for a, row in zip(shapes, b_rows.values())}
-    w_rows = []
-    for a, ah in zip(shapes, b_by_hat):
-        # The b of A + 1_T, A in family(a): d_t of the a_t coordinates at
-        # exponent t < s raised by one, so b_hat_t = a_hat_t - d_t.
-        row = [0] * (jmax + 1)
-        for d in itertools.product(*(range(x + 1) for x in a[:-1])):
-            bh = (*map(operator.sub, ah, d), n)
-            coeff = _inversion(bh, ah)
-            row = [x + coeff * y for x, y in zip(row, b_by_hat[bh])]
-        w_rows.append(row)
+    w_rows = b_rows
+    for t in range(s):
+        w_rows = _inversion_pass(w_rows, shapes, n, t)
     moments, weights = (
-        {(a, j): x for a, row in zip(shapes, rows) for j, x in enumerate(row)}
-        for rows in (b_by_hat.values(), w_rows)
+        {(a, j): x for a, row in zip(shapes, rows.values()) for j, x in enumerate(row)}
+        for rows in (b_rows, w_rows)
     )
     return InvariantTable(
         params=params,

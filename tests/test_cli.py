@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lee_anticodes import cli, dominance, matrices
 from lee_anticodes.verification import CheckResult
@@ -416,6 +418,45 @@ def test_invariants_refuses_too_many_anticodes(capsys, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "p, s, rows, entries",
+    [
+        # Length 1 over Z/2^2186: 2187 anticodes pass their cap, but the
+        # table has 2187 shapes at ranks 0 and 1.
+        (2, 2186, [[2**2180]], 4374),
+        # Length 2 over Z/2^37 at rank 2: C(39, 2) shapes at ranks 0, 1, 2.
+        (2, 37, [[2**35, 0], [0, 2**35]], 2223),
+    ],
+)
+def test_invariants_refuses_too_many_table_entries(
+    capsys, monkeypatch, tmp_path, p, s, rows, entries
+):
+    path = tmp_path / "wide.txt"
+    path.write_text(f"{p} {s} {len(rows[0])}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in rows
+    ))
+
+    def no_codewords(*args, **kwargs):
+        raise AssertionError("codeword enumeration started")
+
+    monkeypatch.setattr(matrices, "element_columns", no_codewords)
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    for action in ("moments", "distribution"):
+        status, out, err = run_cli(capsys, "invariants", str(path), action)
+        assert status == 2 and out == ""
+        assert f"table entries: {entries} exceeds cap 2187" in err
+
+
+def test_invariants_keeps_tables_at_the_entry_cap(capsys, monkeypatch, tmp_path):
+    # Length 2 over Z/2^36 at rank 2: C(38, 2) * 3 = 2109 entries.
+    path = tmp_path / "wide.txt"
+    path.write_text(f"2 36 2\n{2**34} 0\n0 {2**34}\n")
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    status, out, _ = run_cli(capsys, "invariants", str(path), "moments")
+    assert status == 0
+    assert len(json.loads(out)["entries"]) == 2109
+
+
+@pytest.mark.parametrize(
     "text, command, action",
     [
         ("3 2 9100\n", "invariants", "moments"),
@@ -626,3 +667,32 @@ def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch, code_file):
     for _ in range(2):
         assert [run_cli(capsys, *argv) for argv in calls] == alone
     assert cli.build_parser() is cli.build_parser()
+
+
+# Scalars and containers as records hold them, and the cases json.dumps
+# treats apart: bools beside ints, ints past 2^64, None, and strings with
+# quotes, backslashes, control characters and non-ASCII text.
+JSON_SCALARS = (
+    st.integers(-(2**70), 2**70)
+    | st.booleans()
+    | st.none()
+    | st.text(alphabet=st.sampled_from('ab"\\\n\t\x00\x1f\x7f\u00e9\u2603\U0001f600 '))
+    | st.text()
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers(-(2**70), 2**70), max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"a": [], "b": {}, "c": (), "d": [True, 1, False, 0, -1, 2**64]})
+@example([[[]], {"": {"x": None}}, 'q"uote\\back\x01\u00e9\U0001f600'])
+def test_json_writer_matches_json_dumps_indent_2(value):
+    assert cli._json(value) == json.dumps(value, indent=2)

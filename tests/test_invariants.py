@@ -58,6 +58,30 @@ def test_chain_bracket_values():
         assert inv.chain_bracket(a, (0, 0, 3), 3) == 1
 
 
+@st.composite
+def bracket_rows(draw):
+    """(ext, q, jmax): an extended subtype of n <= 7 into s + 1 <= 6 parts,
+    a residue field size and a top rank up to n + 1."""
+    s = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 7))
+    ext = draw(st.sampled_from(compositions(s + 1, n)))
+    return ext, draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(0, n + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_rows())
+@example(((0, 0, 0, 0, 0, 7), 7, 7))
+@example(((2, 1, 0, 3, 1, 0), 2, 8))
+def test_bracket_walk_matches_the_sum_over_shapes(case):
+    ext, q, jmax = case
+    n, s = sum(ext), len(ext) - 1
+    want = [0] * (jmax + 1)
+    for b in compositions(s + 1, n):
+        if n - b[s] <= jmax:
+            want[n - b[s]] += inv.chain_bracket(ext, b, q)
+    assert inv._bracket_moments(ext, q, jmax) == want
+
+
 def test_count_containing_and_inside():
     assert inv.count_containing((0, 1, 2), (1, 1, 1)) == 4
     assert inv.count_inside((1, 1, 1), (0, 1, 2)) == 2
@@ -320,7 +344,7 @@ def test_sweeps_match_the_per_cell_definitions(case):
         assert inv._clamped(grid, n, s, floor) == [
             at[tuple(max(x, floor) for x in e)] for e in cells
         ]
-    # _meet_subtypes clamps one grid s + 1 times, so no pass may change the
+    # _meet_subtypes clamps one grid s - 1 times, so no pass may change the
     # list it is given.
     assert grid == before
     for e, code in zip(cells, inv._shape_codes(n, s)):

@@ -65,6 +65,21 @@ def _from_the_wrong_end(grid_pass):
     return lambda grid, n, s: grid_pass(grid[::-1], n, s)[::-1]
 
 
+def _top_rank_off_by_one(walk):
+    """Adds one to the last entry of every bracket row, the rank-jmax count."""
+
+    def planted(ext, q, jmax):
+        row = walk(ext, q, jmax)
+        return row[:-1] + [row[-1] + 1]
+
+    return planted
+
+
+def _inverts_the_first_coordinate_only(inversion_pass):
+    """Leaves the rows as they are on every pass after the first."""
+    return lambda rows, shapes, n, t: rows if t else inversion_pass(rows, shapes, n, t)
+
+
 def _clamps_one_below(clamped):
     """Clamps at floor - 1, so each level is read one cell too low."""
     return lambda grid, n, s, floor: clamped(grid, n, s, max(floor - 1, 0))
@@ -145,7 +160,9 @@ TABLES = "invariant tables satisfy both identities"
 # Each production route with one planted fault: (owner, attribute, fault,
 # the suite that keeps the second route, the check that must catch it).
 PLANTED = {
-    "chain_bracket": (inv, "chain_bracket", _off_by_one, "invariants", TABLES),
+    "bracket_walk": (
+        inv, "_bracket_moments", _top_rank_off_by_one, "invariants", TABLES,
+    ),
     "suffix_sums": (inv, "_suffix_sums", _from_the_wrong_end, "invariants", TABLES),
     "subtype_from_sizes": (
         inv, "_subtype_from_sizes", _swaps_first_two_parts, "invariants", TABLES,
@@ -164,6 +181,9 @@ PLANTED = {
         inv, "inversion_coefficient", _off_by_one, "invariants", TABLES,
     ),
     "inversion": (inv, "_inversion", _off_by_one, "invariants", TABLES),
+    "inversion_pass": (
+        inv, "_inversion_pass", _inverts_the_first_coordinate_only, "invariants", TABLES,
+    ),
     "count_inside": (
         inv, "count_inside", _off_by_one, "invariants",
         "pair counts match double enumeration",
