@@ -9,6 +9,8 @@ exact as the integer s*k. Coordinates are 0-based throughout.
 
 Every weight comes from one pass, `weight_range`: C's element columns are
 built once and `ring.column_weights` folds them into each metric's weights.
+Membership reduces vectors in the same column layout, many at once
+(`Code.contains_columns`); `contains_vector` is its one-vector case.
 """
 
 from __future__ import annotations
@@ -25,13 +27,10 @@ class Code:
     gen: ModMatrix
     subtype: tuple[int, ...] = field(init=False)
     support_subtype: tuple[int, ...] = field(init=False)
-    # Read once per code by contains_vector, which reduces many vectors.
-    pivot_columns: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         canonical = matrices.howell_form(self.gen)
         object.__setattr__(self, "gen", canonical)
-        object.__setattr__(self, "pivot_columns", matrices.pivot_columns(canonical))
         object.__setattr__(self, "subtype", matrices.subtype(canonical))
         bins = self.params.s + 1
         support = matrices.valuation_counts(column_valuations(canonical), bins)
@@ -89,10 +88,24 @@ class Code:
         return Code(matrices.kernel(self.gen))
 
     def contains_vector(self, vec) -> bool:
-        """Membership by reduction against the generator, a Howell form already."""
-        if len(vec) != self.n:
-            raise ValueError(f"vector length {len(vec)} != {self.n}")
-        return not any(matrices._residue(vec, self.gen, self.pivot_columns))
+        """Membership of one vector, the one-vector case of `contains_columns`."""
+        return self.contains_columns([[x] for x in vec])[0]
+
+    def contains_columns(self, columns) -> list[bool]:
+        """Membership of many vectors, given as columns (`element_columns`):
+        each Howell row (pivot j) reduces all of them at once, by
+        q = x_j // piv[j] on every column t with piv[t] != 0. A vector is in
+        C iff its residue is zero."""
+        if len(columns) != self.n:
+            raise ValueError(f"vector length {len(columns)} != {self.n}")
+        m = self.params.modulus
+        cols = [[x % m for x in col] for col in columns]
+        for piv, j in zip(self.gen.rows, matrices.pivot_columns(self.gen)):
+            qs = [x // piv[j] for x in cols[j]]
+            for t, y in enumerate(piv):
+                if y:
+                    cols[t] = [(x - q * y) % m for x, q in zip(cols[t], qs)]
+        return [not any(residue) for residue in zip(*cols)]
 
     def max_weight(self, metric: str, cap: int = DEFAULT_ENUM_CAP) -> int:
         return weight_range(self, [metric], cap)[metric][0]

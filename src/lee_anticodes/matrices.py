@@ -6,9 +6,9 @@ that pivot, and the span is Howell-closed, meaning every span element whose
 leading coordinates vanish lies in the span of the trailing rows. Two row
 sets span the same module iff their Howell forms are identical, which makes
 module equality, deduplication, and counting reliable. `howell_form` builds
-it in one sweep over the columns. Its eliminations, membership (`_residue`,
-at the pivot columns a `Code` reads once) and `systematic_form` all take
-the one step `_reduce`: a row less (row[j] // piv[j]) * piv. With pivot
+it in one sweep over the columns. Its eliminations and `systematic_form`
+take the one step `_reduce`: a row less (row[j] // piv[j]) * piv, which
+`Code.contains_columns` takes on whole columns of vectors. With pivot
 p^v, p^(s-v) * row is zero up to and including its pivot column, so it
 lies in the span of the later rows, and the coefficients 0 <= c < p^(s-v)
 of each row list every span element once (`_pivot_orders`). p^(s-v) is
@@ -19,7 +19,8 @@ a time, so that the invariant table builds no codeword;
 `enumerate_elements` reads those columns across as tuples.
 
 The subtype comes from a second reduction, full pivoting on an entry of
-globally minimal valuation at each step (`systematic_form`). Its pivots
+globally minimal valuation, least gcd with p^s, at each step
+(`systematic_form`). Its pivots
 p^{v_1}, ..., p^{v_K} have nondecreasing valuations, and the span is
 isomorphic to the direct sum of the cyclic modules p^{v_i} R, so the
 valuations read off the module's subtype. Howell pivots cannot be used for
@@ -36,7 +37,8 @@ of `invariants` takes one `restrict`, the socle C cap p^{s-1}R^n, and ranks
 column subsets of it over F_p; the table reads the subtypes of all (s+1)^n
 intersections off the columns of one enumeration of C. `module_intersect`
 meets two modules by duality, through kernels, at about nine Howell forms;
-it is the reference the tests hold `restrict` to.
+it is the reference the tests hold `restrict` to. Rows this module has
+reduced itself skip the checks of `ModMatrix` (`ModMatrix._reduced`).
 """
 
 from __future__ import annotations
@@ -71,6 +73,13 @@ class ModMatrix:
         object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
+    def _reduced(cls, params: ChainRingParams, n: int, rows) -> "ModMatrix":
+        """Rows this module has already reduced, built with no check."""
+        mat = object.__new__(cls)
+        mat.__dict__.update(params=params, n=n, rows=rows)
+        return mat
+
+    @classmethod
     def zero(cls, params: ChainRingParams, n: int) -> "ModMatrix":
         return cls(params, n, ())
 
@@ -97,6 +106,8 @@ def _first_nonzero(row) -> int | None:
 
 def _normalized(params: ChainRingParams, row, j: int, pv: int) -> list[int]:
     """Scale the row by a unit so entry j becomes exactly pv = p^v."""
+    if row[j] == pv:
+        return list(row)
     m = params.modulus
     inv = params.unit_inverse(row[j] // pv)
     return [(inv * x) % m for x in row]
@@ -141,7 +152,7 @@ def howell_form(mat: ModMatrix) -> ModMatrix:
         pivots.append(piv)
         if not rows:
             break
-    return ModMatrix(mat.params, mat.n, tuple(map(tuple, pivots)))
+    return ModMatrix._reduced(mat.params, mat.n, tuple(map(tuple, pivots)))
 
 
 def valuation_counts(values, bins: int) -> tuple[int, ...]:
@@ -169,16 +180,6 @@ def _pivot_orders(H: ModMatrix) -> list[int]:
 def span_size(mat: ModMatrix) -> int:
     """Number of elements of the row span: product of p^{s-v} over Howell pivots."""
     return math.prod(_pivot_orders(howell_form(mat)))
-
-
-def _residue(vec, H: ModMatrix, pivots: tuple[int, ...]) -> list[int]:
-    """Reduce a vector against a Howell form with the given pivot columns;
-    the residue is zero iff vec is in the span."""
-    m = H.params.modulus
-    row = [int(x) % m for x in vec]
-    for j, piv in zip(pivots, H.rows):
-        row = _reduce(row, piv, j, m)
-    return row
 
 
 def element_columns(mat: ModMatrix, cap: int = DEFAULT_ENUM_CAP) -> list[list[int]]:
@@ -216,7 +217,7 @@ def _left_null_space(params: ChainRingParams, left) -> tuple[tuple[int, ...], ..
     big_rows = tuple(
         tuple(row) + tuple(int(t == i) for t in range(k)) for i, row in enumerate(left)
     )
-    big = howell_form(ModMatrix(params, width + k, big_rows))
+    big = howell_form(ModMatrix._reduced(params, width + k, big_rows))
     return tuple(row[width:] for row in big.rows if not any(row[:width]))
 
 
@@ -226,12 +227,13 @@ def kernel(mat: ModMatrix) -> ModMatrix:
     params, n = mat.params, mat.n
     H = howell_form(mat)
     transposed = [tuple(row[i] for row in H.rows) for i in range(n)]
-    return howell_form(ModMatrix(params, n, _left_null_space(params, transposed)))
+    null_space = _left_null_space(params, transposed)
+    return howell_form(ModMatrix._reduced(params, n, null_space))
 
 
 def module_sum(a: ModMatrix, b: ModMatrix) -> ModMatrix:
     _check_same_space(a, b)
-    return howell_form(ModMatrix(a.params, a.n, a.rows + b.rows))
+    return howell_form(ModMatrix._reduced(a.params, a.n, a.rows + b.rows))
 
 
 def module_intersect(a: ModMatrix, b: ModMatrix) -> ModMatrix:
@@ -252,18 +254,23 @@ def restrict(mat: ModMatrix, exponents) -> ModMatrix:
     if len(exponents) != mat.n:
         raise ValueError(f"{len(exponents)} exponents for length {mat.n}")
     params = mat.params
-    p, s = params.p, params.s
+    p, s, m = params.p, params.s, params.modulus
     if not mat.rows:
         return mat
     scale = [(t, p ** (s - e)) for t, e in enumerate(exponents) if e]
     coeffs = _left_null_space(
-        params, [tuple(row[t] * c for t, c in scale) for row in mat.rows]
+        params, [tuple(row[t] * c % m for t, c in scale) for row in mat.rows]
     )
     rows = tuple(
-        tuple(sum(x * gen[t] for x, gen in zip(c, mat.rows)) for t in range(mat.n))
+        tuple(sum(x * y for x, y in zip(c, col)) % m for col in zip(*mat.rows))
         for c in coeffs
     )
-    return ModMatrix(params, mat.n, rows)
+    return ModMatrix._reduced(params, mat.n, rows)
+
+
+def _least_entry(row, m: int) -> tuple[int, int]:
+    """(gcd(x, m), j) of the first entry x = row[j] of least valuation."""
+    return min((math.gcd(x, m), j) for j, x in enumerate(row) if x)
 
 
 def systematic_form(mat: ModMatrix) -> tuple[int, ...]:
@@ -276,23 +283,21 @@ def systematic_form(mat: ModMatrix) -> tuple[int, ...]:
     order p^{s-v}, and that summand meets the span of the remaining rows only
     in 0, because they vanish in its pivot column and p^{s-v} kills the row.
     So the span is the direct sum of the p^{v_i} R, whichever minimal entry
-    each step takes.
+    each step takes. A row keeps its least entry (`_least_entry`) until a
+    step changes it, which it does only where the row is nonzero at the
+    pivot column.
     """
     params = mat.params
     m = params.modulus
-    rows = [row for row in mat.rows if any(row)]
+    rows = [(_least_entry(row, m), row) for row in mat.rows if any(row)]
     diag: list[int] = []
     while rows:
-        v, i, j = min(
-            (params.valuation(x), i, j)
-            for i, row in enumerate(rows)
-            for j, x in enumerate(row)
-            if x
-        )
-        pivot = _normalized(params, rows.pop(i), j, params.p**v)
-        cleared = (_reduce(row, pivot, j, m) for row in rows)
-        rows = [row for row in cleared if any(row)]
-        diag.append(v)
+        (pv, j), pivot = rows.pop(min(range(len(rows)), key=lambda i: rows[i][0]))
+        pivot = _normalized(params, pivot, j, pv)
+        changed = [_reduce(row, pivot, j, m) for _, row in rows if row[j]]
+        rows = [entry for entry in rows if not entry[1][j]]
+        rows += [(_least_entry(row, m), row) for row in changed if any(row)]
+        diag.append(params.valuation(pv))
     return tuple(diag)
 
 

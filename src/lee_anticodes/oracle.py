@@ -198,10 +198,12 @@ def _brute_compositions(parts: int, total: int):
 class PosetOracle:
     """The dominance order handled entirely by definition.
 
-    Order is decided by comparing prefix sums, each element's computed once;
-    joins and meets scan all bounds; covers test interval emptiness, once
-    per element; the Moebius function uses the recursive sum over half-open
-    intervals; maximal chains walk covers.
+    Order is decided by comparing prefix sums, each element's computed once.
+    Joins and meets read memoised up-sets and down-sets, bitsets of
+    O(|L|^2) bits in all (12.5 MB at the default cap): a join is the upper
+    bound whose up-set holds every upper bound. Covers test interval
+    emptiness, once per element; the Moebius function uses the recursive sum
+    over half-open intervals; maximal chains walk covers.
     """
 
     def __init__(self, parts: int, total: int, cap: int = DEFAULT_POSET_CAP):
@@ -212,6 +214,7 @@ class PosetOracle:
         self.total = total
         self._sums = {a: tuple(accumulate(a)) for a in _brute_compositions(parts, total)}
         self.elements = tuple(sorted(self._sums, key=self._sums.__getitem__))
+        self._reach_memo: dict = {}
         self._covers_memo: dict = {}
         self._mobius_memo: dict = {}
 
@@ -223,19 +226,37 @@ class PosetOracle:
     def leq(self, a, b) -> bool:
         return all(map(operator.le, self._prefix_sums(a), self._prefix_sums(b)))
 
+    def _reach(self, a, up: bool) -> int:
+        """The up-set (or the down-set) of a, an int over the indices of
+        `elements`, filled by `leq` on first use."""
+        key = (tuple(a), up)
+        if key not in self._reach_memo:
+            self._reach_memo[key] = sum(
+                1 << i
+                for i, c in enumerate(self.elements)
+                if (self.leq(a, c) if up else self.leq(c, a))
+            )
+        return self._reach_memo[key]
+
+    def _bound(self, a, b, up: bool):
+        """The join (or the meet) of a and b: the upper (lower) bound whose
+        own up-set (down-set) holds every such bound."""
+        bounds = self._reach(a, up) & self._reach(b, up)
+        found = [
+            c
+            for c, bit in zip(self.elements, bin(bounds)[:1:-1])
+            if bit == "1" and self._reach(c, up) & bounds == bounds
+        ]
+        if len(found) != 1:
+            what = "join" if up else "meet"
+            raise InternalCheckError(f"{what} of {a}, {b} is not unique: {found}")
+        return found[0]
+
     def join(self, a, b):
-        ubs = [c for c in self.elements if self.leq(a, c) and self.leq(b, c)]
-        least = [c for c in ubs if all(self.leq(c, d) for d in ubs)]
-        if len(least) != 1:
-            raise InternalCheckError(f"join of {a}, {b} is not unique: {least}")
-        return least[0]
+        return self._bound(a, b, True)
 
     def meet(self, a, b):
-        lbs = [c for c in self.elements if self.leq(c, a) and self.leq(c, b)]
-        greatest = [c for c in lbs if all(self.leq(d, c) for d in lbs)]
-        if len(greatest) != 1:
-            raise InternalCheckError(f"meet of {a}, {b} is not unique: {greatest}")
-        return greatest[0]
+        return self._bound(a, b, False)
 
     def covers(self, a) -> tuple:
         a = tuple(a)

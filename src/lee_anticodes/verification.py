@@ -9,7 +9,11 @@ verify_invariants reads every subcode count off the one element-set census
 of R^n that oracle.enumerate_submodules builds for the suite (see
 _subcode_floors); no Howell-form census or module intersection enters that
 reference. Containment between census entries is tested once per pair
-(_census_inside). verify_anticodes reads each census code's maximum weight in
+(_census_inside). Each census code's B, W and meet ranks come from one walk
+per distinct subcode floor (_census_references); check_tables and the
+three-way check_rank_identity read them. Membership reduces the whole
+universe against each census code at once (Code.contains_columns).
+verify_anticodes reads each census code's maximum weight in
 every metric off one pass over its element set, so no codeword is enumerated
 through Code, takes each anticode's element set from the census entry
 whose digest is the anticode's module, and holds each hull to its entry's
@@ -23,6 +27,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 
 from . import anticodes as ac
 from . import dominance as comp
@@ -218,6 +223,33 @@ def _subcode_floors(params: ChainRingParams, census) -> list[Counter]:
     ]
 
 
+def _census_references(subcodes: list[Counter], s: int) -> list[tuple]:
+    """For each census code C, from its subcode floors: B[(a, j)], W[(a, j)]
+    and rank(C cap A_e) for every e. A subcode of floor f lies in exactly
+    the A_e with e <= f, and its hull is A_f; the rank of a meet is the
+    largest rank of a subcode inside it. So each code walks the box of each
+    of its distinct floors once; each box is listed once per suite."""
+    boxes, out = {}, []
+    for subs in subcodes:
+        by_floor = defaultdict(Counter)
+        for (r, floor), count in subs.items():
+            by_floor[floor][r] += count
+        b_ref, w_ref, meet = Counter(), Counter(), {}
+        for floor, counts in by_floor.items():
+            if floor not in boxes:
+                cells = product(*(range(f + 1) for f in floor))
+                boxes[floor] = [(e, matrices.valuation_counts(e, s + 1)) for e in cells]
+            top = max(counts)
+            for e, a in boxes[floor]:
+                for r, count in counts.items():
+                    b_ref[a, r] += count
+                meet[e] = max(meet.get(e, 0), top)
+            hull = matrices.valuation_counts(floor, s + 1)
+            w_ref.update({(hull, r): count for r, count in counts.items()})
+        out.append((b_ref, w_ref, meet))
+    return out
+
+
 def verify_counting(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP):
     params = ChainRingParams(p, s)
     census, codes = _census_codes(params, n, cap)
@@ -281,10 +313,12 @@ def verify_counting(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP
         return None
 
     def check_membership():
+        # One contains_columns call per code, over the whole universe.
         universe = sorted(census.entries[-1].elements)
+        columns = [list(column) for column in zip(*universe)]
         for entry, code in zip(census.entries, codes):
-            for x in universe:
-                if code.contains_vector(x) != (x in entry.elements):
+            for x, inside in zip(universe, code.contains_columns(columns)):
+                if inside != (x in entry.elements):
                     return f"membership disagrees for {x} in {entry.mat.rows}"
         return None
 
@@ -414,43 +448,43 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
     comps = comp.compositions(s + 1, n)
     # Each code's table, R-weight fields included, is built once per suite.
     table = cache(inv.build_invariant_table)
+    references = _census_references(subcodes, s)
 
     def check_tables():
-        # Every cell against the element-set census: B(A, j) counts the
-        # rank-j subcodes of C inside A, W(A, j) those whose hull is A.
-        # Then B >= W and both identities, one row over j per (table, a).
-        for c, subs in zip(codes, subcodes):
+        # Every cell against the census reference: B(A, j) counts the rank-j
+        # subcodes of C inside A, W(A, j) those whose hull is A. Then B >= W
+        # and both identities, with each coefficient computed once.
+        containing, inverting = {}, {}
+        for a in comps:
+            below = [b for b in comps if comp.dominance_leq(b, a)]
+            containing[a] = [(b, inv.count_containing(b, a)) for b in below]
+            inverting[a] = [(b, inv.inversion_coefficient(b, a)) for b in below]
+        for c, (want_b, want_w, _) in zip(codes, references):
             t = table(c)
+            moments, weights = t.binomial_moments, t.weight_distributions
             for a in comps:
-                want_b = [0] * (c.rank + 1)
-                want_w = [0] * (c.rank + 1)
-                for A in ac.family(a, params):
-                    e = A.exponents
-                    for (r, floor), count in subs.items():
-                        if all(x >= y for x, y in zip(floor, e)):
-                            want_b[r] += count
-                            if floor == e:
-                                want_w[r] += count
-                moments = inv.moments_from_distribution(t, a)
-                weights = inv.distribution_from_moments(t, a)
                 for j in range(c.rank + 1):
                     key, where = (a, j), f"at a={a}, j={j} for {c.gen.rows}"
-                    want = (want_b[j], want_w[j])
-                    got = (t.binomial_moments[key], t.weight_distributions[key])
+                    want = (want_b[key], want_w[key])
+                    got = (moments[key], weights[key])
                     if got != want:
                         return f"(B, W) = {got} but the census gives {want} {where}"
-                    if got[0] < got[1] or (moments[j], weights[j]) != got:
+                    identities = (
+                        sum(x * weights[b, j] for b, x in containing[a]),
+                        sum(x * moments[b, j] for b, x in inverting[a]),
+                    )
+                    if got[0] < got[1] or identities != got:
                         return f"B < W or an inversion identity fails {where}"
         return None
 
     def check_rank_identity():
-        # rk(C cap A) = n - freerk(Cperp + Aperp). This is the sound form of
-        # the duality, via rk(M) = n - freerk(Mperp) and (C cap A)perp =
-        # Cperp + Aperp. The often-quoted variant K - a_s + freerk(Cperp cap
-        # Aperp) is false in general (free rank is not modular); acceptance
-        # criterion 13 keeps its refutation on record.
+        # rk(C cap A) = n - freerk(Cperp + Aperp), and the census meet rank.
+        # The first is the sound form of the duality, via rk(M) = n -
+        # freerk(Mperp) and (C cap A)perp = Cperp + Aperp. The often-quoted
+        # variant K - a_s + freerk(Cperp cap Aperp) is false in general (free
+        # rank is not modular); acceptance criterion 13 keeps its refutation.
         dual_anticodes = [ac.dual_anticode(A).module() for A in all_anticodes]
-        for c in codes:
+        for c, (_, _, meet) in zip(codes, references):
             dual = matrices.kernel(c.gen)
             for A, dual_a in zip(all_anticodes, dual_anticodes):
                 lhs = matrices.rank(matrices.restrict(c.gen, A.exponents))
@@ -459,6 +493,11 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
                     return (
                         f"rank duality fails for {c.gen.rows}, {A.exponents}: "
                         f"{lhs} != {rhs}"
+                    )
+                if lhs != meet[A.exponents]:
+                    return (
+                        f"rank of the meet for {c.gen.rows}, {A.exponents}: "
+                        f"{lhs}, but the census gives {meet[A.exponents]}"
                     )
         return None
 

@@ -166,6 +166,33 @@ def test_membership():
         assert code.contains_vector(vec) == (vec in elems)
 
 
+@st.composite
+def small_ambient_matrices(draw):
+    """Rows over Z/4, Z/8, Z/9 or Z/25 whose R^n has at most 729 vectors."""
+    params = draw(st.sampled_from(
+        (ChainRingParams(2, 2), ChainRingParams(2, 3), Z9, ChainRingParams(5, 2))
+    ))
+    n = draw(st.integers(1, 2 if params.p == 5 else 3))
+    entry = st.integers(0, params.modulus - 1)
+    rows = draw(st.lists(st.tuples(*[entry] * n), max_size=3))
+    return ModMatrix(params, n, tuple(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ambient_matrices())
+@example(ModMatrix(ChainRingParams(5, 2), 2, ((5, 10), (0, 5))))
+def test_membership_routes_match_span_elements(mat):
+    code = Code(mat)
+    elems = span_elements(mat.params, mat.n, mat.rows)
+    universe = list(itertools.product(range(mat.params.modulus), repeat=mat.n))
+    columns = [list(column) for column in zip(*universe)]
+    inside = [x in elems for x in universe]
+    assert code.contains_columns(columns) == inside
+    assert [code.contains_vector(x) for x in universe] == inside
+    with pytest.raises(ValueError):
+        code.contains_columns(columns + [[0] * len(universe)])
+
+
 def test_enumerate_elements_cap():
     with pytest.raises(CapExceeded):
         list(mx.enumerate_elements(ModMatrix.full(Z9, 2), cap=10))
@@ -259,6 +286,9 @@ def generator_rows(draw):
 @given(generator_rows())
 @example(ModMatrix(Z9, 2, ((3, 1),)))
 @example(ModMatrix(Z9, 2, ((3, 6), (6, 0))))
+# Rows that a step leaves alone keep their least entry for the next step.
+@example(ModMatrix(Z9, 3, ((1, 3, 0), (0, 3, 1), (3, 0, 0))))
+@example(ModMatrix(ChainRingParams(2, 3), 3, ((2, 4, 0), (0, 4, 2), (4, 0, 1))))
 def test_subtype_matches_element_set_oracle(mat):
     elems = span_elements(mat.params, mat.n, mat.rows)
     assert mx.subtype(mat) == subtype_from_elements(mat.params, elems)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from lee_anticodes import anticodes as ac
@@ -128,8 +130,8 @@ def _optimal_off_by_one(_is_optimal):
     return lambda code, metric, cap=None: code.size == ac.hull(code).size + 1
 
 
-def _negated(method):
-    return lambda self, *args: not method(self, *args)
+def _negates_each(method):
+    return lambda self, columns: [not x for x in method(self, columns)]
 
 
 def _drops_last_column(column_weights):
@@ -196,8 +198,9 @@ PLANTED = {
         mx, "free_rank", _off_by_one, "invariants",
         "intersection rank matches dual-sum free rank",
     ),
+    # contains_vector is the one-vector case of contains_columns.
     "contains_vector": (
-        Code, "contains_vector", _negated, "counting",
+        Code, "contains_columns", _negates_each, "counting",
         "membership agrees with element sets",
     ),
     "is_optimal": (
@@ -361,3 +364,39 @@ def test_chain_length_fault_fails_the_chains_check(monkeypatch, capsys):
     monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
     assert cli.main(["verify", "lattice", "--format", "text"]) == 3
     assert "FAIL maximal chains have the uniform length:" in capsys.readouterr().out
+
+
+def _per_family_tables(params, subs, comps):
+    """B and W the way check_tables once counted them: every (rank, floor)
+    class of subcodes against every member of every family."""
+    want_b, want_w = Counter(), Counter()
+    for a in comps:
+        for A in ac.family(a, params):
+            e = A.exponents
+            for (r, floor), count in subs.items():
+                if all(x >= y for x, y in zip(floor, e)):
+                    want_b[a, r] += count
+                    if floor == e:
+                        want_w[a, r] += count
+    return want_b, want_w
+
+
+@pytest.mark.parametrize("p, s, n", [(3, 2, 2), (2, 3, 2), (2, 1, 4)])
+def test_census_references_match_the_per_family_loop(p, s, n):
+    params = ChainRingParams(p, s)
+    census = oracle.enumerate_submodules(ModMatrix.full(params, n))
+    comps = comp.compositions(s + 1, n)
+    subcodes = vf._subcode_floors(params, census)
+    for subs, (b_ref, w_ref, _) in zip(subcodes, vf._census_references(subcodes, s)):
+        assert (b_ref, w_ref) == _per_family_tables(params, subs, comps)
+
+
+def test_census_meet_ranks_match_restrict():
+    params = ChainRingParams(3, 2)
+    census = oracle.enumerate_submodules(ModMatrix.full(params, 2))
+    references = vf._census_references(vf._subcode_floors(params, census), 2)
+    anticodes = oracle.enumerate_anticodes(2, params)
+    for entry, (_, _, meet) in zip(census.entries, references):
+        assert sorted(meet) == [A.exponents for A in anticodes]
+        for A in anticodes:
+            assert meet[A.exponents] == mx.rank(mx.restrict(entry.mat, A.exponents))
