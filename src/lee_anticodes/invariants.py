@@ -65,7 +65,6 @@ from . import matrices
 from .codes import Code
 from .dominance import (
     LINEAR_EXTENSION_NAME,
-    check_composition,
     check_pair,
     compositions,
     prefix_sums,
@@ -184,7 +183,7 @@ def pair_count(a, b, n: int) -> int:
     return ac.family_size(a) * count_inside(a, b)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _intersection_cached(code: Code, anticode: ac.Anticode) -> Code:
     return Code(matrices.restrict(code.gen, anticode.exponents))
 
@@ -194,8 +193,9 @@ def _intersection_cached(code: Code, anticode: ac.Anticode) -> Code:
 # _intersection_cached. matrices.submodule_census is the digest list of the
 # oracle's element-set census, kept only because spans.py wraps it; spans.py
 # also reads both caches' cache_info(), so all stay until the benchmark
-# drops them.
-@lru_cache(maxsize=None)
+# drops them. Both caches are bounded, at 1,024 intersections and 32
+# censuses.
+@lru_cache(maxsize=32)
 def _subcode_stats(code: Code, cap: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(rank, hull exponents) for every submodule of the given code, by census."""
     out = []
@@ -392,38 +392,6 @@ class InvariantTable:
     r_weights_free: tuple[tuple[int, ...], ...]
     ghw: tuple[int, ...]
     minimal_valid: tuple[tuple[tuple[int, ...], ...], ...]
-
-
-def _dominated_sum(entries: dict, rank: int, a, coefficient, label: str) -> list[int]:
-    """Row over j = 0..rank of sum over b dominated by a of entries[(b, j)] *
-    coefficient(b, a), enumerating the b and their coefficients once."""
-    a = check_composition(a)
-    ah = prefix_sums(a)
-    row = [0] * (rank + 1)
-    for b in _shapes(sum(a), len(a) - 1):
-        if _below(prefix_sums(b), ah):
-            coeff = coefficient(b, a)
-            for j in range(rank + 1):
-                if (b, j) not in entries:
-                    raise ValueError(f"table missing {label} entry for {(b, j)}")
-                row[j] += entries[(b, j)] * coeff
-    return row
-
-
-def moments_from_distribution(table: InvariantTable, a) -> list[int]:
-    """B_a^(j) for j = 0..rank, reconstructed from the W table:
-    sum of W_b * count_containing(b, a)."""
-    return _dominated_sum(
-        table.weight_distributions, table.rank, a, count_containing, "W"
-    )
-
-
-def distribution_from_moments(table: InvariantTable, a) -> list[int]:
-    """W_a^(j) for j = 0..rank, reconstructed from the B table via the signed
-    inversion."""
-    return _dominated_sum(
-        table.binomial_moments, table.rank, a, inversion_coefficient, "B"
-    )
 
 
 def r_weight_minimal_set(code: Code) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -199,11 +199,13 @@ class PosetOracle:
     """The dominance order handled entirely by definition.
 
     Order is decided by comparing prefix sums, each element's computed once.
-    Joins and meets read memoised up-sets and down-sets, bitsets of
-    O(|L|^2) bits in all (12.5 MB at the default cap): a join is the upper
-    bound whose up-set holds every upper bound. Covers test interval
-    emptiness, once per element; the Moebius function uses the recursive sum
-    over half-open intervals; maximal chains walk covers.
+    Every other query reads each element's up-set and down-set, int bitsets
+    over `elements` filled lazily by `leq` (O(|L|^2) bits, 12.5 MB at the
+    default cap): a join is the upper bound whose up-set holds every upper
+    bound, b covers a when it is the one element of its down-set strictly
+    above a, the bottom's up-set is all of L, and the Moebius function is the
+    recursive sum over the half-open interval up(a) & down(b) minus b.
+    Maximal chains walk covers.
     """
 
     def __init__(self, parts: int, total: int, cap: int = DEFAULT_POSET_CAP):
@@ -214,8 +216,8 @@ class PosetOracle:
         self.total = total
         self._sums = {a: tuple(accumulate(a)) for a in _brute_compositions(parts, total)}
         self.elements = tuple(sorted(self._sums, key=self._sums.__getitem__))
+        self._bit = {a: 1 << i for i, a in enumerate(self.elements)}
         self._reach_memo: dict = {}
-        self._covers_memo: dict = {}
         self._mobius_memo: dict = {}
 
     def _prefix_sums(self, a) -> tuple:
@@ -232,70 +234,60 @@ class PosetOracle:
         key = (tuple(a), up)
         if key not in self._reach_memo:
             self._reach_memo[key] = sum(
-                1 << i
-                for i, c in enumerate(self.elements)
+                bit
+                for c, bit in self._bit.items()
                 if (self.leq(a, c) if up else self.leq(c, a))
             )
         return self._reach_memo[key]
 
-    def _bound(self, a, b, up: bool):
-        """The join (or the meet) of a and b: the upper (lower) bound whose
-        own up-set (down-set) holds every such bound."""
-        bounds = self._reach(a, up) & self._reach(b, up)
-        found = [
-            c
-            for c, bit in zip(self.elements, bin(bounds)[:1:-1])
-            if bit == "1" and self._reach(c, up) & bounds == bounds
-        ]
+    def _elems(self, bits: int) -> list:
+        """The elements at the set bits of bits, in the order of `elements`."""
+        return [c for c, bit in zip(self.elements, bin(bits)[:1:-1]) if bit == "1"]
+
+    def _bound(self, up: bool, *pair):
+        """The join (or the meet) of pair: the upper (lower) bound whose own
+        up-set (down-set) holds every such bound. Of no elements, it is the
+        bottom (the top), whose up-set (down-set) is all of L."""
+        bounds = (1 << len(self.elements)) - 1
+        for a in pair:
+            bounds &= self._reach(a, up)
+        found = [c for c in self._elems(bounds) if self._reach(c, up) & bounds == bounds]
         if len(found) != 1:
-            what = "join" if up else "meet"
-            raise InternalCheckError(f"{what} of {a}, {b} is not unique: {found}")
+            what = ("join" if up else "meet") if pair else ("bottom" if up else "top")
+            raise InternalCheckError(f"{what} of {pair} is not unique: {found}")
         return found[0]
 
     def join(self, a, b):
-        return self._bound(a, b, True)
+        return self._bound(True, a, b)
 
     def meet(self, a, b):
-        return self._bound(a, b, False)
+        return self._bound(False, a, b)
+
+    def bottom(self):
+        return self._bound(True)
+
+    def top(self):
+        return self._bound(False)
 
     def covers(self, a) -> tuple:
-        a = tuple(a)
-        if a not in self._covers_memo:
-            above = [b for b in self.elements if b != a and self.leq(a, b)]
-            # b covers a when no other element above a lies below b
-            self._covers_memo[a] = tuple(
-                b for b in above if not any(c != b and self.leq(c, b) for c in above)
-            )
-        return self._covers_memo[a]
+        above = self._reach(a, True) & ~self._bit.get(tuple(a), 0)
+        # b covers a when no other element above a lies below b
+        return tuple(
+            b
+            for b in self._elems(above)
+            if self._reach(b, False) & above == self._bit[b]
+        )
 
     def mobius(self, a, b) -> int:
         a, b = tuple(a), tuple(b)
         if not self.leq(a, b):
             return 0
-        key = (a, b)
-        if key not in self._mobius_memo:
-            if a == b:
-                value = 1
-            else:
-                value = -sum(
-                    self.mobius(a, c)
-                    for c in self.elements
-                    if c != b and self.leq(a, c) and self.leq(c, b)
-                )
-            self._mobius_memo[key] = value
-        return self._mobius_memo[key]
-
-    def bottom(self):
-        low = [a for a in self.elements if all(self.leq(a, b) for b in self.elements)]
-        if len(low) != 1:
-            raise InternalCheckError(f"bottom is not unique: {low}")
-        return low[0]
-
-    def top(self):
-        high = [a for a in self.elements if all(self.leq(b, a) for b in self.elements)]
-        if len(high) != 1:
-            raise InternalCheckError(f"top is not unique: {high}")
-        return high[0]
+        if (a, b) not in self._mobius_memo:
+            inside = self._reach(a, True) & self._reach(b, False) & ~self._bit.get(b, 0)
+            self._mobius_memo[a, b] = (a == b) - sum(
+                self.mobius(a, c) for c in self._elems(inside)
+            )
+        return self._mobius_memo[a, b]
 
     def maximal_chains(self):
         goal = self.top()

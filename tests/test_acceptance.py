@@ -280,18 +280,17 @@ def test_criterion_11_table_identities(report):
         Code.from_rows(Z9, 3, [(1, 2, 1), (0, 3, 0)]),
         Code.from_rows(Z9, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 3)]),
     ]
+    shapes = list(dom.compositions(3, 3))
     ok = True
     for code in codes:
         table = inv.build_invariant_table(code)
-        for a in dom.compositions(3, 3):
-            moments = inv.moments_from_distribution(table, a)
-            weights = inv.distribution_from_moments(table, a)
-            if len(moments) != table.rank + 1 or len(weights) != table.rank + 1:
-                ok = False
+        B, W = table.binomial_moments, table.weight_distributions
+        for a in shapes:
+            below = [b for b in shapes if dom.dominance_leq(b, a)]
             for j in range(table.rank + 1):
-                if moments[j] != table.binomial_moments[(a, j)]:
-                    ok = False
-                if weights[j] != table.weight_distributions[(a, j)]:
+                moment = sum(inv.count_containing(b, a) * W[(b, j)] for b in below)
+                weight = sum(inv.inversion_coefficient(b, a) * B[(b, j)] for b in below)
+                if moment != B[(a, j)] or weight != W[(a, j)]:
                     ok = False
     report(11, ok, "both inversion identities on two full tables")
     assert ok

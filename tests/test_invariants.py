@@ -507,13 +507,13 @@ def test_build_invariant_table():
 
 def test_table_identities_explicitly():
     table = inv.build_invariant_table(example_code())
-    for a in compositions(3, 3):
-        moments = inv.moments_from_distribution(table, a)
-        weights = inv.distribution_from_moments(table, a)
-        assert len(moments) == len(weights) == table.rank + 1
+    B, W = table.binomial_moments, table.weight_distributions
+    shapes = list(compositions(3, 3))
+    for a in shapes:
+        below = [b for b in shapes if dominance_leq(b, a)]
         for j in range(table.rank + 1):
-            assert moments[j] == table.binomial_moments[(a, j)]
-            assert weights[j] == table.weight_distributions[(a, j)]
+            assert B[(a, j)] == sum(inv.count_containing(b, a) * W[(b, j)] for b in below)
+            assert W[(a, j)] == sum(inv.inversion_coefficient(b, a) * B[(b, j)] for b in below)
 
 
 def test_table_digest_identifies_code():

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import signal
@@ -274,18 +275,38 @@ def _covers_by_definition(elements, a):
     }
 
 
-def test_poset_oracle_answers_inputs_by_definition():
-    po = oracle.PosetOracle(3, 3)
+@pytest.mark.parametrize("parts", [3, 4])
+def test_poset_oracle_answers_inputs_by_definition(parts):
+    po = oracle.PosetOracle(parts, 3)
+    pad = (0,) * (parts - 3)
     # lists, and tuples that are no element of the lattice
-    outside = [(0, 0, 2), (1, 1, 2), (0, 4, 0), (3, 0, 0, 0), (0, 0, 1)]
+    outside = [(3, 0)] + [
+        pad + a for a in [(0, 0, 2), (1, 1, 2), (0, 4, 0), (3, 0, 0, 0), (0, 0, 1)]
+    ]
     inputs = [list(a) for a in po.elements] + outside + list(po.elements)
+
+    @functools.cache
+    def mobius(a, b):
+        if not _leq_by_definition(a, b):
+            return 0
+        return 1 if a == b else -sum(
+            mobius(a, c)
+            for c in po.elements
+            if c != b and _leq_by_definition(a, c) and _leq_by_definition(c, b)
+        )
+
     for a in inputs:
         for b in inputs:
             assert po.leq(a, b) == _leq_by_definition(a, b), (a, b)
+            assert po.mobius(a, b) == mobius(tuple(a), tuple(b)), (a, b)
         assert set(po.covers(a)) == _covers_by_definition(po.elements, a), a
-    assert po.leq([0, 1, 2], (1, 1, 1)) and not po.leq((1, 1, 1), [0, 1, 2])
-    assert po.covers((0, 0, 2)) == ((0, 0, 3),)
-    assert po.covers([1, 1, 1]) == po.covers((1, 1, 1))
+    lowest = [a for a in po.elements if all(_leq_by_definition(a, b) for b in po.elements)]
+    highest = [a for a in po.elements if all(_leq_by_definition(b, a) for b in po.elements)]
+    assert [po.bottom()] == lowest and [po.top()] == highest
+    assert po.leq(list(pad + (0, 1, 2)), pad + (1, 1, 1))
+    assert not po.leq(pad + (1, 1, 1), list(pad + (0, 1, 2)))
+    assert po.covers(pad + (0, 0, 2)) == (pad + (0, 0, 3),)
+    assert po.covers(list(pad + (1, 1, 1))) == po.covers(pad + (1, 1, 1))
 
 
 def test_poset_oracle_chains():
