@@ -5,18 +5,17 @@ ring: pivots are exact powers of p, entries above a pivot are reduced modulo
 that pivot, and the span is Howell-closed, meaning every span element whose
 leading coordinates vanish lies in the span of the trailing rows. Two row
 sets span the same module iff their Howell forms are identical, which makes
-module equality, deduplication, and counting reliable. `howell_form` builds
-it in one sweep over the columns. Its eliminations and `systematic_form`
-take the one step `_reduce`: a row less (row[j] // piv[j]) * piv, which
-`Code.contains_columns` takes on whole columns of vectors. With pivot
-p^v, p^(s-v) * row is zero up to and including its pivot column, so it
-lies in the span of the later rows, and the coefficients 0 <= c < p^(s-v)
-of each row list every span element once (`_pivot_orders`). p^(s-v) is
-the order of the pivot entry, not of the row: over Z/9 the Howell row
-(3, 1) of span{(3,1)} has order 9. The span is listed a coordinate at a
-time (`element_columns`): one list per column, grown by one Howell row at
-a time, so that the invariant table builds no codeword;
-`enumerate_elements` reads those columns across as tuples.
+module equality, deduplication, and counting reliable. One column sweep,
+`_sweep`, returns the pivots and the rows left, which span every span
+element zero on the columns swept; it stops at the column its caller
+names. `howell_form` sweeps every column and marks its output, so a Howell
+form is never swept again. Every elimination takes the one step `_reduce`,
+a row less q * piv, which `Code.contains_columns` takes on whole columns of
+vectors. With pivot p^v, the coefficients 0 <= c < p^(s-v) of each Howell
+row list every span element once (`_pivot_orders`); p^(s-v) is the order of
+the pivot entry, not of the row: over Z/9 the Howell row (3, 1) of
+span{(3,1)} has order 9. The span is listed a coordinate at a time
+(`element_columns`), so that the invariant table builds no codeword.
 
 The subtype comes from a second reduction, full pivoting on an entry of
 globally minimal valuation, least gcd with p^s, at each step
@@ -29,16 +28,13 @@ non-unit pivots, yet the module is free of rank 1 with the single
 generator (3,1): full pivoting takes its unit entry 1 as the pivot, giving
 valuations (0,), free rank 1, subtype (1,0).
 
-`kernel` and `restrict` both take a left null space {x : x L = 0} from one
-Howell form of [L | I] (`_left_null_space`). The kernel has L = H^T. A code
-met with an anticode, C cap prod_t <p^{e_t}>, has L = H diag(p^{s-e_t}): the
-x are the coefficient vectors with x H in the anticode. The R-weight walk
-of `invariants` takes one `restrict`, the socle C cap p^{s-1}R^n, and ranks
-column subsets of it over F_p; the table reads the subtypes of all (s+1)^n
-intersections off the columns of one enumeration of C. `module_intersect`
-meets two modules by duality, through kernels, at about nine Howell forms;
-it is the reference the tests hold `restrict` to. Rows this module has
-reduced itself skip the checks of `ModMatrix` (`ModMatrix._reduced`).
+`kernel` and `restrict` sweep [L | R] up to the end of L and keep the right
+blocks of the rows left, {x R : x L = 0} (`_left_null_space`): the kernel
+has L = H^T and R = I, a code met with an anticode, C cap prod_t
+<p^{e_t}>, has L = H diag(p^{s-e_t}) and R = H. `module_intersect` meets
+two modules by duality, through kernels; it is the reference the tests
+hold `restrict` to. Rows this module has reduced itself skip the checks of
+`ModMatrix` (`ModMatrix._reduced`).
 """
 
 from __future__ import annotations
@@ -59,6 +55,7 @@ class ModMatrix:
     params: ChainRingParams
     n: int
     rows: tuple[tuple[int, ...], ...]
+    _howell = False  # set on the output of `howell_form` alone; not a field
 
     def __post_init__(self):
         if self.n < 1:
@@ -97,62 +94,78 @@ def _check_same_space(a, b) -> None:
         raise ValueError(f"length mismatch: {a.n} vs {b.n}")
 
 
-def _first_nonzero(row) -> int | None:
-    for j, x in enumerate(row):
-        if x:
-            return j
-    return None
-
-
-def _normalized(params: ChainRingParams, row, j: int, pv: int) -> list[int]:
-    """Scale the row by a unit so entry j becomes exactly pv = p^v."""
-    if row[j] == pv:
-        return list(row)
-    m = params.modulus
-    inv = params.unit_inverse(row[j] // pv)
-    return [(inv * x) % m for x in row]
-
-
-def _reduce(row, piv, j: int, m: int):
-    """The row less (row[j] // piv[j]) * piv, the one row-reduction step of
-    this module: entry j ends below piv[j], at 0 when piv[j] divides it."""
-    q = row[j] // piv[j]
+def _reduce(row, piv, q: int, m: int):
+    """The row less q * piv, the one row-reduction step of this module."""
     if not q:
         return row
     return [(x - q * y) % m for x, y in zip(row, piv)]
 
 
-def howell_form(mat: ModMatrix) -> ModMatrix:
-    """The unique canonical generator matrix of the row span.
+def _least_entry(values, m: int) -> tuple[int, int]:
+    """(gcd(x, m), i) of the first nonzero x = values[i] of least valuation;
+    the scan stops at a unit."""
+    least = (m, -1)
+    for i, x in enumerate(values):
+        if x:
+            g = math.gcd(x, m)
+            if g < least[0]:
+                least = (g, i)
+                if g == 1:
+                    break
+    return least
 
-    One sweep over the columns. At column j, of the nonzero rows left (all
-    zero before j), one of least valuation v at j is the pivot, scaled so
-    that its entry is exactly p^v = gcd(entry, p^s). `_reduce` clears column
-    j from the other rows and brings entry j of each earlier pivot below
-    p^v. The closure p^{s-v} * pivot, zero up to column j, joins the rows
-    left, which then span every span element zero up to column j: the
-    Howell closure.
+
+def _sweep(params: ChainRingParams, rows, stop: int):
+    """(pivots, rows left) of the Howell sweep over columns 0 to stop - 1,
+    each pivot as (j, row), not reduced by the pivots after it.
+
+    At column j, of the nonzero rows left (all zero before j), the first of
+    least valuation v at j is the pivot, scaled so that its entry is exactly
+    p^v = gcd(entry, p^s). `_reduce` clears column j from the other rows, and
+    the closure p^{s-v} * pivot, zero up to column j, joins the rows left,
+    which then span every span element zero up to column j.
     """
-    m = mat.params.modulus
-    rows, pivots = [row for row in mat.rows if any(row)], []
-    for j in range(mat.n):
-        hits = [row for row in rows if row[j]]
-        if not hits:
-            continue
-        pv, i = min((math.gcd(row[j], m), i) for i, row in enumerate(hits))
-        piv = _normalized(mat.params, hits.pop(i), j, pv)
-        if pv > 1:
-            hits.append([m // pv * x % m for x in piv])
-        rows = [row for row in rows if not row[j]]
-        for row in hits:
-            row = _reduce(row, piv, j, m)
-            if any(row):
-                rows.append(row)
-        pivots = [_reduce(row, piv, j, m) for row in pivots]
-        pivots.append(piv)
+    m = params.modulus
+    rows, pivots = [row for row in rows if any(row)], []
+    for j in range(stop):
         if not rows:
             break
-    return ModMatrix._reduced(mat.params, mat.n, tuple(map(tuple, pivots)))
+        hits, rest = [], []
+        for row in rows:
+            (hits if row[j] else rest).append(row)
+        if not hits:
+            continue
+        pv, i = _least_entry([row[j] for row in hits], m)
+        piv = hits.pop(i)
+        if piv[j] != pv:
+            unit = params.unit_inverse(piv[j] // pv)
+            piv = [unit * x % m for x in piv]
+        if pv > 1:
+            hits.append([m // pv * x % m for x in piv])
+        for row in hits:
+            row = _reduce(row, piv, row[j] // pv, m)
+            if any(row):
+                rest.append(row)
+        rows = rest
+        pivots.append((j, piv))
+    return pivots, rows
+
+
+def howell_form(mat: ModMatrix) -> ModMatrix:
+    """The unique canonical generator matrix of the row span: the sweep over
+    every column, each pivot then bringing entry j of the earlier pivots
+    below its own entry p^v. The output is marked (`ModMatrix._howell`) and
+    comes back unchanged if passed again."""
+    if mat._howell:
+        return mat
+    m = mat.params.modulus
+    rows = []
+    for j, piv in _sweep(mat.params, mat.rows, mat.n)[0]:
+        rows = [_reduce(row, piv, row[j] // piv[j], m) for row in rows]
+        rows.append(piv)
+    out = ModMatrix._reduced(mat.params, mat.n, tuple(map(tuple, rows)))
+    object.__setattr__(out, "_howell", True)
+    return out
 
 
 def valuation_counts(values, bins: int) -> tuple[int, ...]:
@@ -166,8 +179,8 @@ def valuation_counts(values, bins: int) -> tuple[int, ...]:
 
 
 def pivot_columns(H: ModMatrix) -> tuple[int, ...]:
-    """The pivot column of each row of a Howell form."""
-    return tuple(_first_nonzero(row) for row in H.rows)
+    """The pivot column of each row of a Howell form: its first nonzero entry."""
+    return tuple(next(j for j, x in enumerate(row) if x) for row in H.rows)
 
 
 def _pivot_orders(H: ModMatrix) -> list[int]:
@@ -208,26 +221,25 @@ def enumerate_elements(mat: ModMatrix, cap: int = DEFAULT_ENUM_CAP):
     return zip(*element_columns(mat, cap))
 
 
-def _left_null_space(params: ChainRingParams, left) -> tuple[tuple[int, ...], ...]:
-    """Generators of {x : x L = 0}, L the matrix with the given rows: the
-    combination x of the rows of [L | I] is (x L, x), and by Howell closure
-    the Howell rows of [L | I] with zero left block span all those with
-    x L = 0, so their right blocks generate."""
-    k, width = len(left), len(left[0])
-    big_rows = tuple(
-        tuple(row) + tuple(int(t == i) for t in range(k)) for i, row in enumerate(left)
-    )
-    big = howell_form(ModMatrix._reduced(params, width + k, big_rows))
-    return tuple(row[width:] for row in big.rows if not any(row[:width]))
+def _left_null_space(params: ChainRingParams, left, right) -> tuple:
+    """Generators of {x R : x L = 0}: the combination x of the rows of
+    [L | R] is (x L, x R), and the rows the sweep leaves after the columns
+    of L span every such combination with x L = 0, so their right blocks
+    generate."""
+    width = len(left[0])
+    _, rest = _sweep(params, [a + b for a, b in zip(left, right)], width)
+    return tuple(tuple(row[width:]) for row in rest)
 
 
 def kernel(mat: ModMatrix) -> ModMatrix:
     """Generators of {x in R^n : M x^T = 0}, as a canonical Howell form: the
-    left null space of H^T, for H the Howell form of M."""
+    sweep of [H^T | I] stops after H^T (`_left_null_space`), with H the
+    Howell form of M, which a marked M already is."""
     params, n = mat.params, mat.n
     H = howell_form(mat)
     transposed = [tuple(row[i] for row in H.rows) for i in range(n)]
-    null_space = _left_null_space(params, transposed)
+    identity = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    null_space = _left_null_space(params, transposed, identity)
     return howell_form(ModMatrix._reduced(params, n, null_space))
 
 
@@ -246,9 +258,10 @@ def restrict(mat: ModMatrix, exponents) -> ModMatrix:
     """Generators of span(mat) cap prod_t <p^{e_t}>, the code met with an anticode.
 
     With H the h rows of mat, the intersection is {xH : p^{s-e_t} (xH)_t = 0
-    for every t}: the x form the left null space of H diag(p^{s-e_t}), one
-    Howell form (`_left_null_space`). Columns with e_t = 0 are left out,
-    since p^s = 0. The rows returned are not reduced; `Code` canonicalises.
+    for every t}, the right blocks of the rows of [H diag(p^{s-e_t}) | H]
+    that the sweep leaves after the left block (`_left_null_space`).
+    Columns with e_t = 0 are left out, since p^s = 0. The rows returned are
+    not reduced; `Code` canonicalises.
     """
     exponents = tuple(exponents)
     if len(exponents) != mat.n:
@@ -258,43 +271,32 @@ def restrict(mat: ModMatrix, exponents) -> ModMatrix:
     if not mat.rows:
         return mat
     scale = [(t, p ** (s - e)) for t, e in enumerate(exponents) if e]
-    coeffs = _left_null_space(
-        params, [tuple(row[t] * c % m for t, c in scale) for row in mat.rows]
-    )
-    rows = tuple(
-        tuple(sum(x * y for x, y in zip(c, col)) % m for col in zip(*mat.rows))
-        for c in coeffs
-    )
-    return ModMatrix._reduced(params, mat.n, rows)
-
-
-def _least_entry(row, m: int) -> tuple[int, int]:
-    """(gcd(x, m), j) of the first entry x = row[j] of least valuation."""
-    return min((math.gcd(x, m), j) for j, x in enumerate(row) if x)
+    left = [tuple(row[t] * c % m for t, c in scale) for row in mat.rows]
+    return ModMatrix._reduced(params, mat.n, _left_null_space(params, left, mat.rows))
 
 
 def systematic_form(mat: ModMatrix) -> tuple[int, ...]:
     """The pivot valuations v_1 <= ... <= v_K of full pivoting on the rows.
 
-    Each step takes an entry of globally minimal valuation v, scales its row
-    by a unit so that the entry is exactly p^v, and clears that column from
-    the other rows; the quotients are exact, since no entry has valuation
-    below v. The row is then set aside: it generates a cyclic summand of
-    order p^{s-v}, and that summand meets the span of the remaining rows only
-    in 0, because they vanish in its pivot column and p^{s-v} kills the row.
-    So the span is the direct sum of the p^{v_i} R, whichever minimal entry
-    each step takes. A row keeps its least entry (`_least_entry`) until a
-    step changes it, which it does only where the row is nonzero at the
-    pivot column.
+    Each step takes an entry p^v u, u a unit, of globally minimal valuation
+    v and clears its column from every row, each less (x // p^v) u^-1 times
+    the pivot row, which itself goes to zero; the quotients are exact, since
+    no entry has valuation below v. The pivot row generates a cyclic summand
+    of order p^{s-v}, and that summand meets the span of the remaining rows
+    only in 0, because they vanish in its pivot column and p^{s-v} kills the
+    row. So the span is the direct sum of the p^{v_i} R, whichever minimal
+    entry each step takes. A row keeps its least entry (`_least_entry`)
+    until a step changes it, which it does only where the row is nonzero at
+    the pivot column.
     """
     params = mat.params
     m = params.modulus
     rows = [(_least_entry(row, m), row) for row in mat.rows if any(row)]
     diag: list[int] = []
     while rows:
-        (pv, j), pivot = rows.pop(min(range(len(rows)), key=lambda i: rows[i][0]))
-        pivot = _normalized(params, pivot, j, pv)
-        changed = [_reduce(row, pivot, j, m) for _, row in rows if row[j]]
+        (pv, j), pivot = min(rows, key=lambda entry: entry[0])
+        unit = params.unit_inverse(pivot[j] // pv)
+        changed = [_reduce(r, pivot, r[j] // pv * unit, m) for _, r in rows if r[j]]
         rows = [entry for entry in rows if not entry[1][j]]
         rows += [(_least_entry(row, m), row) for row in changed if any(row)]
         diag.append(params.valuation(pv))

@@ -132,9 +132,9 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
     has a composition series whose steps adjoin some x with p*x already
     present, so the breadth-first closure reaches all of them; the
     candidates x are the preimages of the module under x -> p*x, a map
-    built once over the parent. Distinct extension elements yielding one
-    child differ by a child element, so pruning each new child's elements
-    from the candidate list visits every (module, child) edge exactly once.
+    built once over the parent. Two children of one base meet exactly in
+    the base, so the children split its candidates: skipping the candidates
+    a child already covers visits every (module, child) edge exactly once.
     Deduplication is by raw element set.
     Each module keeps the extension elements that built it, at most one per
     composition step; its Howell digest is taken from those few rows and
@@ -161,15 +161,17 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
             queue = [x for y in base for x in preimages[y] if x not in base]
         except KeyError as exc:
             raise InternalCheckError("a census module leaves its parent") from exc
-        while queue:
-            x = queue[0]
+        covered = set()
+        for x in queue:
+            if x in covered:
+                continue
             child = frozenset(_span(base, (x,), translate, p - 1))
-            if x not in child:  # x would stay in the queue for ever
+            if x not in child:  # the children would not split the candidates
                 raise InternalCheckError(f"census child lacks its generator {decode[x]}")
             if child not in found:
                 found[child] = found[base] + (x,)
                 todo.append(child)
-            queue = [y for y in queue if y not in child]
+            covered |= child
     entries = []
     while found:
         elems, gens = found.popitem()

@@ -11,8 +11,10 @@ _subcode_floors); no Howell-form census or module intersection enters that
 reference. Containment between census entries is tested once per pair
 (_census_inside). Each census code's B, W and meet ranks come from one walk
 per distinct subcode floor (_census_references); check_tables and the
-three-way check_rank_identity read them. Membership reduces the whole
-universe against each census code at once (Code.contains_columns).
+three-way check_rank_identity read them; its dual sum C-perp + A-perp is
+the two generator lists joined, with no Howell form. Membership reduces
+the whole universe against each census code at once (Code.contains_columns)
+and compares the accepted set with the element set.
 verify_anticodes reads each census code's maximum weight in
 every metric off one pass over its element set, so no codeword is enumerated
 through Code, takes each anticode's element set from the census entry
@@ -27,7 +29,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import compress, product
 
 from . import anticodes as ac
 from . import dominance as comp
@@ -145,15 +147,19 @@ def verify_lattice(
         return None
 
     def check_distributivity():
-        # join and meet are pure, so each pair is computed once
-        join, meet = cache(comp.join), cache(comp.meet)
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    lhs = meet(a, join(b, c))
-                    rhs = join(meet(a, b), meet(a, c))
-                    if lhs != rhs:
-                        return f"distributivity fails at {a}, {b}, {c}"
+        # Each join and meet once, as an index into elems.
+        index = {a: i for i, a in enumerate(elems)}
+        join = [[index.get(comp.join(a, b)) for b in elems] for a in elems]
+        meet = [[index.get(comp.meet(a, b)) for b in elems] for a in elems]
+        if any(None in row for row in join + meet):
+            return "a join or meet leaves the lattice"
+        for a, meet_a in enumerate(meet):
+            for b, join_b in enumerate(join):
+                lhs = [meet_a[i] for i in join_b]
+                rhs = [join[meet_a[b]][i] for i in meet_a]
+                if lhs != rhs:
+                    c = next(c for c, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+                    return f"distributivity fails at {elems[a]}, {elems[b]}, {elems[c]}"
         return None
 
     def check_linear_extension():
@@ -313,13 +319,15 @@ def verify_counting(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP
         return None
 
     def check_membership():
-        # One contains_columns call per code, over the whole universe.
+        # One contains_columns call per code, over the whole universe; the
+        # least vector of the symmetric difference names a counterexample.
         universe = sorted(census.entries[-1].elements)
         columns = [list(column) for column in zip(*universe)]
         for entry, code in zip(census.entries, codes):
-            for x, inside in zip(universe, code.contains_columns(columns)):
-                if inside != (x in entry.elements):
-                    return f"membership disagrees for {x} in {entry.mat.rows}"
+            accepted = set(compress(universe, code.contains_columns(columns)))
+            if accepted != entry.elements:
+                x = min(accepted ^ entry.elements)
+                return f"membership disagrees for {x} in {entry.mat.rows}"
         return None
 
     def check_enumeration():
@@ -483,12 +491,12 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
         # freerk(Mperp) and (C cap A)perp = Cperp + Aperp. The often-quoted
         # variant K - a_s + freerk(Cperp cap Aperp) is false in general (free
         # rank is not modular); acceptance criterion 13 keeps its refutation.
-        dual_anticodes = [ac.dual_anticode(A).module() for A in all_anticodes]
+        dual_anticodes = [ac.dual_anticode(A).module().rows for A in all_anticodes]
         for c, (_, _, meet) in zip(codes, references):
-            dual = matrices.kernel(c.gen)
+            dual = matrices.kernel(c.gen).rows
             for A, dual_a in zip(all_anticodes, dual_anticodes):
                 lhs = matrices.rank(matrices.restrict(c.gen, A.exponents))
-                rhs = n - matrices.free_rank(matrices.module_sum(dual, dual_a))
+                rhs = n - matrices.free_rank(ModMatrix(params, n, dual + dual_a))
                 if lhs != rhs:
                     return (
                         f"rank duality fails for {c.gen.rows}, {A.exponents}: "

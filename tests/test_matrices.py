@@ -78,10 +78,21 @@ def test_howell_examples():
     assert mx.howell_form(ModMatrix.zero(Z9, 2)).rows == ()
 
 
-def test_howell_idempotent():
+def test_howell_idempotent(monkeypatch):
     mat = ModMatrix(Z9, 3, ((1, 2, 0), (0, 3, 0), (3, 6, 0)))
     h = mx.howell_form(mat)
     assert mx.howell_form(h) == h
+    assert mx.howell_form(h) is h
+    # The mark is not a field: a matrix built from the same rows compares
+    # and prints equal, carries no mark and is swept again.
+    copy = ModMatrix(h.params, h.n, h.rows)
+    assert copy == h and repr(copy) == repr(h) and hash(copy) == hash(h)
+    assert h._howell and not copy._howell
+    assert not ModMatrix._reduced(h.params, h.n, h.rows)._howell
+    sweeps, sweep = [], mx._sweep
+    monkeypatch.setattr(mx, "_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    assert mx.howell_form(copy) == h and mx.howell_form(copy) is not copy
+    assert len(sweeps) == 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -360,6 +371,41 @@ def test_restrict_matches_module_intersect(case):
         cells = list(itertools.product(range(s + 1), repeat=n))
         grid = inv._meet_subtypes(code)
         assert grid[cells.index(exponents)] == Code(want).extended_subtype
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes_and_exponents())
+def test_restrict_of_raw_rows_matches_their_howell_form(case):
+    """restrict keeps the rows the sweep leaves, unreduced: any generating
+    set of the code gives the same meet."""
+    mat, exponents = case
+    want = Code(mx.restrict(mx.howell_form(mat), exponents))
+    assert Code(mx.restrict(mat, exponents)) == want
+
+
+@st.composite
+def matrix_pairs(draw):
+    params = draw(st.sampled_from(RING_CHOICES))
+    n = draw(st.integers(min_value=1, max_value=5))
+
+    def rows():
+        k = draw(st.integers(min_value=0, max_value=3))
+        entries = st.integers(0, params.modulus - 1)
+        return tuple(tuple(draw(entries) for _ in range(n)) for _ in range(k))
+
+    return ModMatrix(params, n, rows()), ModMatrix(params, n, rows())
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_pairs())
+def test_free_rank_of_joined_generators_matches_module_sum(pair):
+    """free_rank and the subtype are module invariants of any generating
+    set, so the rank identity may read them off the two generator lists
+    joined, with module_sum as the reference."""
+    a, b = pair
+    joined = ModMatrix(a.params, a.n, a.rows + b.rows)
+    assert mx.free_rank(joined) == mx.free_rank(mx.module_sum(a, b))
+    assert mx.subtype(joined) == mx.subtype(mx.module_sum(a, b))
 
 
 def test_restrict_examples():

@@ -42,6 +42,43 @@ def test_verify_lattice_enumerates_no_chain(monkeypatch):
     assert len(results) == 11
 
 
+def _joins_to_the_top(join):
+    """Every pair of distinct elements joins to the top: still in L, but not
+    distributive."""
+    return lambda a, b: a if a == b else (sum(a),) + (0,) * (len(a) - 1)
+
+
+def _joins_outside_the_lattice(join):
+    return lambda a, b: join(a, b) + (0,)
+
+
+@pytest.mark.parametrize(
+    "plant, detail",
+    [
+        (_joins_to_the_top, "distributivity fails at "),
+        (_joins_outside_the_lattice, "a join or meet leaves the lattice"),
+    ],
+)
+def test_distributivity_check_names_its_failure(plant, detail, monkeypatch):
+    monkeypatch.setattr(comp, "join", plant(comp.join))
+    results = {r.name: r for r in vf.verify_lattice(3, 3)}
+    assert results["the lattice is distributive"].detail.startswith(detail)
+
+
+@pytest.mark.parametrize("answer, vector", [(False, (0, 0)), (True, (0, 1))])
+def test_membership_check_names_the_least_disagreeing_vector(
+    answer, vector, monkeypatch
+):
+    # Rejecting every vector only misses members and accepting every vector
+    # only adds non-members; the zero code, first in the census, fails both.
+    monkeypatch.setattr(
+        Code, "contains_columns", lambda self, columns: [answer] * len(columns[0])
+    )
+    results = {r.name: r for r in vf.verify_counting(3, 2, 2)}
+    membership = results["membership agrees with element sets"]
+    assert membership.detail == f"membership disagrees for {vector} in ()"
+
+
 def test_check_result_shape():
     results = vf.verify_anticodes(3, 2, 2)
     for r in results:
