@@ -10,7 +10,9 @@ hold tuples. A census builds every module as a union of cosets, with no
 Howell form. It shares with the main modules only the ring parameters, the
 span size that it checks against its cap before it builds any element, and
 the Howell form of each module's few extension elements, its digest, which
-is checked to span exactly the module's element set every time.
+is checked to span exactly the module's element set every time. Each
+entry's down-set is one int bitset, closed over the cover edges the census
+walks (ModuleCensus.down).
 `matrices.submodule_census` is this census's list of digests.
 """
 
@@ -118,8 +120,13 @@ class CensusEntry:
 
 @dataclass(frozen=True)
 class ModuleCensus:
+    """Every submodule of `parent`, sorted by size and then by digest rows.
+    down[i] is the down-set of entries[i]: an int with bit j set iff
+    entries[j] lies inside entries[i]."""
+
     parent: ModMatrix
     entries: tuple[CensusEntry, ...]
+    down: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -139,6 +146,10 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
     Each module keeps the extension elements that built it, at most one per
     composition step; its Howell digest is taken from those few rows and
     verified against the element set.
+    Each edge is a cover (the child has index p over its base), and every
+    cover is such an edge, so the down-set of an entry, `down` in its final
+    sorted position, is its own bit OR the down-sets of the bases of its
+    edges; a base is smaller than its child, so it is closed first.
     """
     params, n = mat.params, mat.n
     p, m = params.p, params.modulus
@@ -152,11 +163,14 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
         if px not in preimages:
             raise InternalCheckError(f"p * {decode[x]} leaves the census parent")
         preimages[px].append(x)
-    # element set -> the extension elements that built it, which span it
-    found = {frozenset({0}): ()}
+    # element set -> (its number, the extension elements that built it);
+    # lower[k] numbers the bases of the edges into module number k
+    found = {frozenset({0}): (0, ())}
+    lower = [[]]
     todo = list(found)
     while todo:
         base = todo.pop()
+        number, gens = found[base]
         try:
             queue = [x for y in base for x in preimages[y] if x not in base]
         except KeyError as exc:
@@ -169,12 +183,14 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
             if x not in child:  # the children would not split the candidates
                 raise InternalCheckError(f"census child lacks its generator {decode[x]}")
             if child not in found:
-                found[child] = found[base] + (x,)
+                found[child] = (len(lower), gens + (x,))
+                lower.append([])
                 todo.append(child)
+            lower[found[child][0]].append(number)
             covered |= child
     entries = []
     while found:
-        elems, gens = found.popitem()
+        elems, (number, gens) = found.popitem()
         digest = howell_form(ModMatrix(params, n, tuple(decode[x] for x in gens)))
         if _span({0}, map(pack, digest.rows), translate, m - 1) != elems:
             raise InternalCheckError(
@@ -183,9 +199,25 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
         subtype = _filtration_subtype(params, elems, times_p.__getitem__)
         # popitem frees each packed set; the entries share the parent's tuples
         elems = frozenset(map(decode.__getitem__, elems))
-        entries.append(CensusEntry(digest, elems, subtype))
-    entries.sort(key=lambda e: (len(e.elements), e.mat.rows))
-    return ModuleCensus(howell_form(mat), tuple(entries))
+        entries.append((CensusEntry(digest, elems, subtype), number))
+    entries.sort(key=lambda item: (len(item[0].elements), item[0].mat.rows))
+    position = {number: i for i, (_, number) in enumerate(entries)}
+    covers = [[position[k] for k in lower[number]] for _, number in entries]
+    return ModuleCensus(
+        howell_form(mat), tuple(entry for entry, _ in entries), _down_sets(covers)
+    )
+
+
+def _down_sets(covers) -> tuple[int, ...]:
+    """The down-set of each entry, with covers[i] the indices of the entries
+    that entry i covers, all below i: its own bit OR their down-sets."""
+    down = []
+    for i, below in enumerate(covers):
+        bits = 1 << i
+        for j in below:
+            bits |= down[j]
+        down.append(bits)
+    return tuple(down)
 
 
 def _brute_compositions(parts: int, total: int):

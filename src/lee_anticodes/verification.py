@@ -5,16 +5,20 @@ fails by returning a counterexample description, never by raising: internal
 cross-check errors from the library are caught and reported as failures so
 the CLI can dump them and exit with the triage code for theorem violations.
 
-verify_invariants reads every subcode count off the one element-set census
-of R^n that oracle.enumerate_submodules builds for the suite (see
+The element-set census of R^n, oracle.enumerate_submodules, is built once
+per process for each ring and length, and shared by every suite and every
+CLI call (_full_census, a bounded memo that holds oracle facts alone); each
+suite checks its cap first and builds its own Codes from the entries.
+verify_invariants reads every subcode count off that census (see
 _subcode_floors); no Howell-form census or module intersection enters that
-reference. Containment between census entries is tested once per pair
-(_census_inside). Each census code's B, W and meet ranks come from one walk
-per distinct subcode floor (_census_references); check_tables and the
-three-way check_rank_identity read them; its dual sum C-perp + A-perp is
-the two generator lists joined, with no Howell form. Membership reduces
-the whole universe against each census code at once (Code.contains_columns)
-and compares the accepted set with the element set.
+reference. Containment between census entries is read off the census
+down-sets, by popcount under one mask per key, there and in
+verify_counting's bracket check. Each census code's B, W and meet ranks
+come from one walk per distinct subcode floor (_census_references);
+check_tables and the three-way check_rank_identity read them; its dual sum
+C-perp + A-perp is the two generator lists joined, with no Howell form.
+Membership reduces the whole universe against each census code at once
+(Code.contains_columns) and compares the accepted set with the element set.
 verify_anticodes reads each census code's maximum weight in
 every metric off one pass over its element set, so no codeword is enumerated
 through Code, takes each anticode's element set from the census entry
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import compress, product
 
 from . import anticodes as ac
@@ -36,7 +40,7 @@ from . import dominance as comp
 from . import invariants as inv
 from . import matrices, oracle
 from .codes import Code
-from .errors import InternalCheckError
+from .errors import InternalCheckError, guard_cap
 from .matrices import ModMatrix
 from .ring import METRICS, ChainRingParams, column_weights
 
@@ -192,18 +196,28 @@ def verify_lattice(
     ]
 
 
+@lru_cache(maxsize=16)
+def _full_census(params: ChainRingParams, n: int):
+    """The census of R^n, built once per process for every suite that asks;
+    its caller has checked the cap, so the census takes its span size."""
+    return oracle.enumerate_submodules(ModMatrix.full(params, n), params.modulus**n)
+
+
 def _census_codes(params: ChainRingParams, n: int, cap: int):
-    census = oracle.enumerate_submodules(ModMatrix.full(params, n), cap)
+    """The census of R^n and a Code per entry, built anew by every suite.
+    The cap is checked on every call, so a census in the memo is refused
+    as if it had to be built."""
+    guard_cap(params.modulus**n, cap, "submodule census")
+    census = _full_census(params, n)
     return census, [Code(entry.mat) for entry in census.entries]
 
 
-def _census_inside(census) -> list[list[int]]:
-    """For each census entry C, the indices of the entries inside C, by
-    element sets."""
-    entries = census.entries
-    return [
-        [j for j, d in enumerate(entries) if d.elements <= c.elements] for c in entries
-    ]
+def _masks(keys) -> dict:
+    """key -> the int bitset of the census entries with that key."""
+    masks = defaultdict(int)
+    for i, key in enumerate(keys):
+        masks[key] |= 1 << i
+    return masks
 
 
 def _element_floors(params: ChainRingParams, census) -> list[tuple[int, ...]]:
@@ -221,11 +235,13 @@ def _element_floors(params: ChainRingParams, census) -> list[tuple[int, ...]]:
 
 def _subcode_floors(params: ChainRingParams, census) -> list[Counter]:
     """For each census entry C, how many entries D inside C have each
-    (rank, floor), by element sets alone."""
-    floors = _element_floors(params, census)
+    (rank, floor), by element sets alone: the popcount of C's down-set
+    under the mask of each (rank, floor)."""
+    ranks = (entry.rank for entry in census.entries)
+    masks = _masks(zip(ranks, _element_floors(params, census))).items()
     return [
-        Counter((census.entries[j].rank, floors[j]) for j in inside)
-        for inside in _census_inside(census)
+        Counter({key: k for key, mask in masks if (k := (down & mask).bit_count())})
+        for down in census.down
     ]
 
 
@@ -260,10 +276,12 @@ def verify_counting(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP
     params = ChainRingParams(p, s)
     census, codes = _census_codes(params, n, cap)
     comps = comp.compositions(s + 1, n)
+    # Each bracket once per distinct (ext, b) in the suite.
+    bracket = cache(inv.chain_bracket)
 
     def check_census_total():
         full_ext = (n,) + (0,) * s
-        expected = sum(inv.chain_bracket(full_ext, b, p) for b in comps)
+        expected = sum(bracket(full_ext, b, p) for b in comps)
         if len(census) != expected:
             return f"census size {len(census)} != bracket total {expected}"
         return None
@@ -295,13 +313,14 @@ def verify_counting(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP
 
     def check_brackets():
         exts = [entry.subtype + (n - entry.rank,) for entry in census.entries]
-        for ext, inside in zip(exts, _census_inside(census)):
-            counts = Counter(exts[j] for j in inside)
+        masks = _masks(exts)
+        for ext, down in zip(exts, census.down):
             for b in comps:
-                if inv.chain_bracket(ext, b, p) != counts[b]:
+                count = (down & masks.get(b, 0)).bit_count()
+                if bracket(ext, b, p) != count:
                     return (
-                        f"bracket({ext}, {b}) = {inv.chain_bracket(ext, b, p)} "
-                        f"but census finds {counts[b]}"
+                        f"bracket({ext}, {b}) = {bracket(ext, b, p)} "
+                        f"but census finds {count}"
                     )
         return None
 

@@ -5,7 +5,27 @@ import pytest
 from lee_anticodes import anticodes as ac
 from lee_anticodes import invariants as inv
 from lee_anticodes import matrices, oracle
+from lee_anticodes import verification as vf
 from lee_anticodes.codes import Code
+
+
+@pytest.fixture(autouse=True)
+def cold_census_memo():
+    """Every test starts and ends with an empty census memo, as a fresh
+    process does: a census built by an earlier test would hide a fault
+    that a later test plants in the oracle."""
+    vf._full_census.cache_clear()
+    yield
+    vf._full_census.cache_clear()
+
+
+def _census_inside(census) -> list[list[int]]:
+    """For each census entry C, the indices of the entries inside C, by
+    subset tests on element sets: the reference for the census down-sets."""
+    entries = census.entries
+    return [
+        [j for j, d in enumerate(entries) if d.elements <= c.elements] for c in entries
+    ]
 
 
 def _rank_intersection_identity(code: Code, anticode: ac.Anticode) -> tuple[int, int]:
@@ -47,3 +67,8 @@ def rank_intersection_identity():
 @pytest.fixture
 def ghw_by_elements():
     return _ghw_by_elements
+
+
+@pytest.fixture(scope="session")
+def census_inside():
+    return _census_inside

@@ -160,6 +160,49 @@ def test_census_digests_match_the_element_set_howell_form(p, s, n):
         )
 
 
+def _down_indices(census) -> list[list[int]]:
+    return [[j for j in range(len(census)) if down >> j & 1] for down in census.down]
+
+
+# Every (p, s, n) of the benchmark's `verify` mix.
+VERIFY_CENSUSES = [
+    (3, 2, 2), (5, 2, 2), (3, 3, 2), (2, 3, 2), (2, 2, 2),
+    (3, 1, 3), (5, 1, 3), (2, 1, 4), (11, 1, 2), (13, 1, 2),
+]
+
+
+@pytest.mark.parametrize("p, s, n", VERIFY_CENSUSES)
+def test_census_down_sets_match_subset_tests(p, s, n, census_inside):
+    census = oracle.enumerate_submodules(ModMatrix.full(ChainRingParams(p, s), n))
+    assert _down_indices(census) == census_inside(census)
+
+
+def test_census_down_sets_of_a_parent_that_is_not_full(census_inside):
+    census = oracle.enumerate_submodules(ModMatrix(Z9, 3, ((3, 0, 1), (0, 3, 0))))
+    assert _down_indices(census) == census_inside(census)
+
+
+@st.composite
+def small_parents(draw):
+    # p^(s n) <= 81 and n <= 4, so every census and its subset tests stay small
+    p, s, n = draw(
+        st.sampled_from(
+            [(p, s, n) for p in (2, 3, 5, 7) for s in range(1, 7)
+             for n in range(1, 5) if p ** (s * n) <= 81]
+        )
+    )
+    vec = st.lists(st.integers(0, p**s - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(vec, max_size=n))
+    return ModMatrix(ChainRingParams(p, s), n, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mat=small_parents())
+def test_census_down_sets_match_subset_tests_on_any_parent(mat, census_inside):
+    census = oracle.enumerate_submodules(mat)
+    assert _down_indices(census) == census_inside(census)
+
+
 def test_census_rejects_a_digest_that_spans_too_little(monkeypatch):
     def drops_last_row(mat):
         form = mx.howell_form(mat)

@@ -194,6 +194,11 @@ def _lowers_a_positive_exponent(hull):
     return planted
 
 
+def _skips_one_lower_cover(down_sets):
+    """Closes each census entry's down-set over all but its first lower cover."""
+    return lambda covers: down_sets([below[1:] for below in covers])
+
+
 TABLES = "invariant tables satisfy both identities"
 
 # Each production route with one planted fault: (owner, attribute, fault,
@@ -213,6 +218,10 @@ PLANTED = {
     "restrict": (mx, "restrict", _drops_last_generator, "invariants", TABLES),
     "chain_bracket_counting": (
         inv, "chain_bracket", _off_by_one, "counting",
+        "brackets count submodules on every parent",
+    ),
+    "down_sets": (
+        oracle, "_down_sets", _skips_one_lower_cover, "counting",
         "brackets count submodules on every parent",
     ),
     "count_containing": (inv, "count_containing", _off_by_one, "invariants", TABLES),
@@ -284,6 +293,51 @@ def test_planted_fault_fails_its_check(fault, monkeypatch, capsys):
     monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
     assert cli.main(["verify", scope, "--format", "text"]) == 3
     assert f"FAIL {name}:" in capsys.readouterr().out
+
+
+def _counted_census(monkeypatch) -> list:
+    """The (ring, length) of every census the oracle builds from now on,
+    with no cap taken from the environment."""
+    built, census = [], oracle.enumerate_submodules
+
+    def counted(mat, *args):
+        built.append((mat.params, mat.n))
+        return census(mat, *args)
+
+    monkeypatch.setattr(oracle, "enumerate_submodules", counted)
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    return built
+
+
+def test_a_smaller_cap_refuses_a_census_in_the_memo(monkeypatch, capsys):
+    built = _counted_census(monkeypatch)
+    assert cli.main(["verify", "counting"]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "counting", "--cap", "10"]) == 2
+    assert "submodule census: 81 exceeds cap 10" in capsys.readouterr().err
+    assert built == [(ChainRingParams(3, 2), 2)]
+
+
+def test_verify_all_builds_one_census(monkeypatch, capsys):
+    built = _counted_census(monkeypatch)
+    assert cli.main(["verify", "all"]) == 0
+    assert built == [(ChainRingParams(3, 2), 2)]
+
+
+def test_verify_calls_on_one_ring_share_its_census(monkeypatch, capsys):
+    built = _counted_census(monkeypatch)
+    argv = ["verify", "anticodes", "--p", "5", "--s", "1", "--n", "3"]
+    outputs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert built == [(ChainRingParams(5, 1), 3)]
+
+
+def test_census_memo_is_bounded():
+    maxsize = vf._full_census.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 16
 
 
 def test_packed_addition_without_its_mod_correction_fails_the_census(
