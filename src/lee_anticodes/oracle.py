@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, product
 
@@ -135,14 +136,18 @@ class ModuleCensus:
 def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> ModuleCensus:
     """Every submodule of span(mat), built from element sets alone.
 
-    Grows modules one index-p cyclic extension at a time: every submodule
-    has a composition series whose steps adjoin some x with p*x already
-    present, so the breadth-first closure reaches all of them; the
-    candidates x are the preimages of the module under x -> p*x, a map
-    built once over the parent. Two children of one base meet exactly in
-    the base, so the children split its candidates: skipping the candidates
-    a child already covers visits every (module, child) edge exactly once.
-    Deduplication is by raw element set.
+    Grows modules one index-p cyclic extension at a time, a level of equal
+    sizes at a time: every submodule has a composition series whose steps
+    adjoin some x with p*x already present, so the breadth-first closure
+    reaches all of them; the candidates x are the preimages of the module
+    under x -> p*x, a map built once over the parent. Two children of one
+    base meet exactly in the base, so the children split its candidates:
+    skipping the candidates a child already covers visits every (module,
+    child) edge exactly once. Deduplication is by raw element set. The
+    child base + <x> is the one module of the next level that holds the
+    base and x, so one found from an earlier base is looked up among the
+    next level's modules that hold x, where they are fewer than the
+    child's elements; otherwise the child is built.
     Each module keeps the extension elements that built it, at most one per
     composition step; its Howell digest is taken from those few rows and
     verified against the element set.
@@ -157,7 +162,10 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
     pack, unpack, translate = _packing(m, n)
     # the parent's packed elements: their tuples, x -> p x and its preimages
     decode = {x: unpack(x) for x in _span({0}, map(pack, mat.rows), translate, m - 1)}
-    times_p = {x: pack([p * t for t in vec]) for x, vec in decode.items()}
+    # p x as the sum over coordinates t of scaled[t][x_t], p x_t in field t
+    units = [pack([int(u == t) for u in range(n)]) for t in range(n)]
+    scaled = [[p * r % m * unit for r in range(m)] for unit in units]
+    times_p = {x: sum(map(list.__getitem__, scaled, vec)) for x, vec in decode.items()}
     preimages = {x: [] for x in decode}
     for x, px in times_p.items():
         if px not in preimages:
@@ -165,29 +173,42 @@ def enumerate_submodules(mat: ModMatrix, cap: int = DEFAULT_CENSUS_CAP) -> Modul
         preimages[px].append(x)
     # element set -> (its number, the extension elements that built it);
     # lower[k] numbers the bases of the edges into module number k
+    parent = frozenset(decode)
     found = {frozenset({0}): (0, ())}
     lower = [[]]
-    todo = list(found)
-    while todo:
-        base = todo.pop()
-        number, gens = found[base]
-        try:
+    level = list(found)
+    while level:
+        # holding[x]: the modules of the next level found so far that hold x
+        holding, next_level = defaultdict(list), []
+        for base in level:
+            number, gens = found[base]
+            size = p * len(base)
             queue = [x for y in base for x in preimages[y] if x not in base]
-        except KeyError as exc:
-            raise InternalCheckError("a census module leaves its parent") from exc
-        covered = set()
-        for x in queue:
-            if x in covered:
-                continue
-            child = frozenset(_span(base, (x,), translate, p - 1))
-            if x not in child:  # the children would not split the candidates
-                raise InternalCheckError(f"census child lacks its generator {decode[x]}")
-            if child not in found:
-                found[child] = (len(lower), gens + (x,))
-                lower.append([])
-                todo.append(child)
-            lower[found[child][0]].append(number)
-            covered |= child
+            covered = set()
+            for x in queue:
+                if x in covered:
+                    continue
+                known = holding[x]
+                child = None
+                if len(known) < size:
+                    child = next((c for c in known if base <= c), None)
+                if child is None:
+                    child = frozenset(_span(base, (x,), translate, p - 1))
+                    if x not in child:  # the children would not split the candidates
+                        raise InternalCheckError(
+                            f"census child lacks its generator {decode[x]}"
+                        )
+                if child not in found:
+                    if not child <= parent:
+                        raise InternalCheckError("a census module leaves its parent")
+                    found[child] = (len(lower), gens + (x,))
+                    lower.append([])
+                    next_level.append(child)
+                    for y in child:
+                        holding[y].append(child)
+                lower[found[child][0]].append(number)
+                covered |= child
+        level = next_level
     entries = []
     while found:
         elems, (number, gens) = found.popitem()

@@ -5,10 +5,9 @@ fails by returning a counterexample description, never by raising: internal
 cross-check errors from the library are caught and reported as failures so
 the CLI can dump them and exit with the triage code for theorem violations.
 
-The element-set census of R^n, oracle.enumerate_submodules, is built once
-per process for each ring and length, and shared by every suite and every
-CLI call (_full_census, a bounded memo that holds oracle facts alone); each
-suite checks its cap first and builds its own Codes from the entries.
+Each census suite builds the element-set census of R^n,
+oracle.enumerate_submodules, and its own Codes from the entries; verify_all
+builds the census once and hands it to its three census suites.
 verify_invariants reads every subcode count off that census (see
 _subcode_floors); no Howell-form census or module intersection enters that
 reference. Containment between census entries is read off the census
@@ -19,12 +18,12 @@ check_tables and the three-way check_rank_identity read them; its dual sum
 C-perp + A-perp is the two generator lists joined, with no Howell form.
 Membership reduces the whole universe against each census code at once
 (Code.contains_columns) and compares the accepted set with the element set.
-verify_anticodes reads each census code's maximum weight in
-every metric off one pass over its element set, so no codeword is enumerated
-through Code, takes each anticode's element set from the census entry
-whose digest is the anticode's module, and holds each hull to its entry's
-floors (_element_floors). verify_lattice counts maximal chains as cover
-paths of the poset oracle, top down, and enumerates no chain.
+verify_anticodes weighs each element of R^n once per metric and reads each
+census code's maximum weight off its element set, so no codeword is
+enumerated through Code, takes each anticode's element set from the census
+entry whose digest is the anticode's module, and holds each hull to its
+entry's floors (_element_floors). verify_lattice counts maximal chains as
+cover paths of the poset oracle, top down, and enumerates no chain.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import compress, product
 
 from . import anticodes as ac
@@ -40,7 +39,7 @@ from . import dominance as comp
 from . import invariants as inv
 from . import matrices, oracle
 from .codes import Code
-from .errors import InternalCheckError, guard_cap
+from .errors import InternalCheckError
 from .matrices import ModMatrix
 from .ring import METRICS, ChainRingParams, column_weights
 
@@ -196,19 +195,11 @@ def verify_lattice(
     ]
 
 
-@lru_cache(maxsize=16)
-def _full_census(params: ChainRingParams, n: int):
-    """The census of R^n, built once per process for every suite that asks;
-    its caller has checked the cap, so the census takes its span size."""
-    return oracle.enumerate_submodules(ModMatrix.full(params, n), params.modulus**n)
-
-
-def _census_codes(params: ChainRingParams, n: int, cap: int):
-    """The census of R^n and a Code per entry, built anew by every suite.
-    The cap is checked on every call, so a census in the memo is refused
-    as if it had to be built."""
-    guard_cap(params.modulus**n, cap, "submodule census")
-    census = _full_census(params, n)
+def _census_codes(params: ChainRingParams, n: int, cap: int, census=None):
+    """The census of R^n, built here unless the caller passes one, and a
+    Code per entry, built anew by every suite."""
+    if census is None:
+        census = oracle.enumerate_submodules(ModMatrix.full(params, n), cap)
     return census, [Code(entry.mat) for entry in census.entries]
 
 
@@ -272,9 +263,11 @@ def _census_references(subcodes: list[Counter], s: int) -> list[tuple]:
     return out
 
 
-def verify_counting(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP):
+def verify_counting(
+    p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP, census=None
+):
     params = ChainRingParams(p, s)
-    census, codes = _census_codes(params, n, cap)
+    census, codes = _census_codes(params, n, cap, census)
     comps = comp.compositions(s + 1, n)
     # Each bracket once per distinct (ext, b) in the suite.
     bracket = cache(inv.chain_bracket)
@@ -367,17 +360,23 @@ def verify_counting(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP
     ]
 
 
-def verify_anticodes(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP):
+def verify_anticodes(
+    p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP, census=None
+):
     params = ChainRingParams(p, s)
-    census, codes = _census_codes(params, n, cap)
+    census, codes = _census_codes(params, n, cap, census)
     all_anticodes = oracle.enumerate_anticodes(n, params)
     comps = comp.compositions(s + 1, n)
-    # Each code's maximum weight in every metric, read off the columns of
-    # its census element set.
-    maxima = []
-    for entry in census.entries:
-        columns = list(zip(*entry.elements))
-        maxima.append({m: max(column_weights(params, columns, m)) for m in METRICS})
+    # Each element of R^n, the last and largest census entry, weighed once
+    # per metric; each code's maximum weight is read off its element set.
+    universe = list(census.entries[-1].elements)
+    columns = list(zip(*universe))
+    weight = {m: dict(zip(universe, column_weights(params, columns, m))) for m in METRICS}
+    maxima = [
+        {m: max(map(weight[m].__getitem__, entry.elements)) for m in METRICS}
+        for entry in census.entries
+    ]
+    hulls = [ac.hull(c) for c in codes]
 
     def run_bound_check(metric, bound):
         def check():
@@ -389,9 +388,9 @@ def verify_anticodes(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CA
         return _run(f"{bound} bound holds on the census", check)
 
     def check_lee_characterization():
-        for c, weights in zip(codes, maxima):
+        for c, weights, hull in zip(codes, maxima, hulls):
             weight_route = weights["lee"] == ac.weight_bound(c, "lee")
-            structure_route = c.size == ac.hull(c).size
+            structure_route = c.size == hull.size
             if weight_route != structure_route:
                 return (
                     f"characterization split for {c.gen.rows}: "
@@ -423,8 +422,8 @@ def verify_anticodes(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CA
         return None
 
     def check_hull_minimality():
-        for c, floor in zip(codes, _element_floors(params, census)):
-            exponents = ac.hull(c).exponents
+        for c, hull, floor in zip(codes, hulls, _element_floors(params, census)):
+            exponents = hull.exponents
             if exponents != floor:
                 return f"hull {exponents} != element-set floor {floor} for {c.gen.rows}"
         return None
@@ -467,9 +466,11 @@ def verify_anticodes(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CA
     return results
 
 
-def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP):
+def verify_invariants(
+    p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_CAP, census=None
+):
     params = ChainRingParams(p, s)
-    census, codes = _census_codes(params, n, cap)
+    census, codes = _census_codes(params, n, cap, census)
     subcodes = _subcode_floors(params, census)
     all_anticodes = oracle.enumerate_anticodes(n, params)
     comps = comp.compositions(s + 1, n)
@@ -585,11 +586,12 @@ def verify_invariants(p: int, s: int, n: int, cap: int = oracle.DEFAULT_CENSUS_C
 def verify_all(
     p: int, s: int, n: int, parts: int, total: int, cap: int | None = None
 ) -> list[CheckResult]:
-    """Every suite in turn; a cap given here replaces each suite's default."""
+    """Every suite in turn; a cap given here replaces each suite's default.
+    The three census suites share one census of R^n."""
     caps = {} if cap is None else {"cap": cap}
-    return [
-        *verify_lattice(parts, total, **caps),
-        *verify_counting(p, s, n, **caps),
-        *verify_anticodes(p, s, n, **caps),
-        *verify_invariants(p, s, n, **caps),
-    ]
+    results = verify_lattice(parts, total, **caps)
+    full = ModMatrix.full(ChainRingParams(p, s), n)
+    census = oracle.enumerate_submodules(full, **caps)
+    for suite in (verify_counting, verify_anticodes, verify_invariants):
+        results += suite(p, s, n, census=census)
+    return results

@@ -5,18 +5,7 @@ import pytest
 from lee_anticodes import anticodes as ac
 from lee_anticodes import invariants as inv
 from lee_anticodes import matrices, oracle
-from lee_anticodes import verification as vf
 from lee_anticodes.codes import Code
-
-
-@pytest.fixture(autouse=True)
-def cold_census_memo():
-    """Every test starts and ends with an empty census memo, as a fresh
-    process does: a census built by an earlier test would hide a fault
-    that a later test plants in the oracle."""
-    vf._full_census.cache_clear()
-    yield
-    vf._full_census.cache_clear()
 
 
 def _census_inside(census) -> list[list[int]]:

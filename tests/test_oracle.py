@@ -164,22 +164,33 @@ def _down_indices(census) -> list[list[int]]:
     return [[j for j in range(len(census)) if down >> j & 1] for down in census.down]
 
 
-# Every (p, s, n) of the benchmark's `verify` mix.
-VERIFY_CENSUSES = [
-    (3, 2, 2), (5, 2, 2), (3, 3, 2), (2, 3, 2), (2, 2, 2),
-    (3, 1, 3), (5, 1, 3), (2, 1, 4), (11, 1, 2), (13, 1, 2),
+# R^n at every (p, s, n) of the benchmark's `verify` mix, and one parent
+# that is not a full space.
+DOWN_SET_PARENTS = [
+    *(
+        pytest.param(ModMatrix.full(ChainRingParams(p, s), n), id=f"Z{p**s}^{n}")
+        for p, s, n in [
+            (3, 2, 2), (5, 2, 2), (3, 3, 2), (2, 3, 2), (2, 2, 2),
+            (3, 1, 3), (5, 1, 3), (2, 1, 4), (11, 1, 2), (13, 1, 2),
+        ]
+    ),
+    pytest.param(ModMatrix(Z9, 3, ((3, 0, 1), (0, 3, 0))), id="Z9^3-not-full"),
 ]
 
 
-@pytest.mark.parametrize("p, s, n", VERIFY_CENSUSES)
-def test_census_down_sets_match_subset_tests(p, s, n, census_inside):
-    census = oracle.enumerate_submodules(ModMatrix.full(ChainRingParams(p, s), n))
+@pytest.mark.parametrize("parent", DOWN_SET_PARENTS)
+def test_census_down_sets_match_subset_tests(parent, census_inside):
+    census = oracle.enumerate_submodules(parent)
     assert _down_indices(census) == census_inside(census)
 
 
-def test_census_down_sets_of_a_parent_that_is_not_full(census_inside):
-    census = oracle.enumerate_submodules(ModMatrix(Z9, 3, ((3, 0, 1), (0, 3, 0))))
-    assert _down_indices(census) == census_inside(census)
+def test_census_builds_each_element_set_once(monkeypatch):
+    calls, span = [], oracle._span
+    monkeypatch.setattr(oracle, "_span", lambda *args: calls.append(1) or span(*args))
+    census = oracle.enumerate_submodules(ModMatrix.full(ChainRingParams(5, 1), 3))
+    # the parent, every entry but the zero module as a child, every digest:
+    # over F_5^3 a child reached again is always found by the scan
+    assert len(calls) == 1 + (len(census) - 1) + len(census)
 
 
 @st.composite

@@ -295,49 +295,17 @@ def test_planted_fault_fails_its_check(fault, monkeypatch, capsys):
     assert f"FAIL {name}:" in capsys.readouterr().out
 
 
-def _counted_census(monkeypatch) -> list:
-    """The (ring, length) of every census the oracle builds from now on,
-    with no cap taken from the environment."""
+def test_verify_all_builds_one_census(monkeypatch, capsys):
     built, census = [], oracle.enumerate_submodules
 
-    def counted(mat, *args):
+    def counted(mat, *args, **kwargs):
         built.append((mat.params, mat.n))
-        return census(mat, *args)
+        return census(mat, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "enumerate_submodules", counted)
     monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
-    return built
-
-
-def test_a_smaller_cap_refuses_a_census_in_the_memo(monkeypatch, capsys):
-    built = _counted_census(monkeypatch)
-    assert cli.main(["verify", "counting"]) == 0
-    capsys.readouterr()
-    assert cli.main(["verify", "counting", "--cap", "10"]) == 2
-    assert "submodule census: 81 exceeds cap 10" in capsys.readouterr().err
-    assert built == [(ChainRingParams(3, 2), 2)]
-
-
-def test_verify_all_builds_one_census(monkeypatch, capsys):
-    built = _counted_census(monkeypatch)
     assert cli.main(["verify", "all"]) == 0
     assert built == [(ChainRingParams(3, 2), 2)]
-
-
-def test_verify_calls_on_one_ring_share_its_census(monkeypatch, capsys):
-    built = _counted_census(monkeypatch)
-    argv = ["verify", "anticodes", "--p", "5", "--s", "1", "--n", "3"]
-    outputs = []
-    for _ in range(2):
-        assert cli.main(argv) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    assert built == [(ChainRingParams(5, 1), 3)]
-
-
-def test_census_memo_is_bounded():
-    maxsize = vf._full_census.cache_info().maxsize
-    assert maxsize is not None and maxsize >= 16
 
 
 def test_packed_addition_without_its_mod_correction_fails_the_census(
