@@ -84,19 +84,6 @@ def _check_extended_composition(a, params: ChainRingParams) -> tuple[int, ...]:
     return a
 
 
-def canonical_exponents(a, params: ChainRingParams) -> tuple[int, ...]:
-    """The sorted exponent vector (0^{a_0}, 1^{a_1}, ..., s^{a_s})."""
-    a = _check_extended_composition(a, params)
-    out: list[int] = []
-    for value, count in enumerate(a):
-        out.extend([value] * count)
-    return tuple(out)
-
-
-def canonical_anticode(a, params: ChainRingParams) -> Anticode:
-    return Anticode(params, canonical_exponents(a, params))
-
-
 def family_size(a) -> int:
     """Multinomial coefficient n!/(a_0! ... a_s!)."""
     n = sum(a)

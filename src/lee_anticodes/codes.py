@@ -10,7 +10,7 @@ exact as the integer s*k. Coordinates are 0-based throughout.
 Every weight comes from one pass, `weight_range`: C's element columns are
 built once and `ring.column_weights` folds them into each metric's weights.
 Membership reduces vectors in the same column layout, many at once
-(`Code.contains_columns`); `contains_vector` is its one-vector case.
+(`Code.contains_columns`).
 """
 
 from __future__ import annotations
@@ -86,10 +86,6 @@ class Code:
     def dual(self) -> "Code":
         """The orthogonal code under the standard inner product."""
         return Code(matrices.kernel(self.gen))
-
-    def contains_vector(self, vec) -> bool:
-        """Membership of one vector, the one-vector case of `contains_columns`."""
-        return self.contains_columns([[x] for x in vec])[0]
 
     def contains_columns(self, columns) -> list[bool]:
         """Membership of many vectors, given as columns (`element_columns`):

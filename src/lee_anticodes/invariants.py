@@ -473,11 +473,6 @@ def _least_rank(columns, size: int, p: int, floor: int) -> int:
     return least
 
 
-def ghw(code: Code) -> tuple[int, ...]:
-    """The generalized Hamming weights: the m of each free R-weight shape."""
-    return r_weight_fields(code)["ghw"]
-
-
 def r_weight_fields(code: Code) -> dict:
     """The R-weight fields of `InvariantTable`, in its order, from one free
     walk: r_weights, r_weights_free, ghw and minimal_valid."""

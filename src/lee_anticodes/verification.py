@@ -7,23 +7,21 @@ the CLI can dump them and exit with the triage code for theorem violations.
 
 Each census suite builds the element-set census of R^n,
 oracle.enumerate_submodules, and its own Codes from the entries; verify_all
-builds the census once and hands it to its three census suites.
-verify_invariants reads every subcode count off that census (see
-_subcode_floors); no Howell-form census or module intersection enters that
-reference. Containment between census entries is read off the census
-down-sets, by popcount under one mask per key, there and in
-verify_counting's bracket check. Each census code's B, W and meet ranks
-come from one walk per distinct subcode floor (_census_references);
-check_tables and the three-way check_rank_identity read them; its dual sum
-C-perp + A-perp is the two generator lists joined, with no Howell form.
-Membership reduces the whole universe against each census code at once
-(Code.contains_columns) and compares the accepted set with the element set.
-verify_anticodes weighs each element of R^n once per metric and reads each
-census code's maximum weight off its element set, so no codeword is
-enumerated through Code, takes each anticode's element set from the census
-entry whose digest is the anticode's module, and holds each hull to its
-entry's floors (_element_floors). verify_lattice counts maximal chains as
-cover paths of the poset oracle, top down, and enumerates no chain.
+builds the census once and hands it to its three census suites. Every
+containment fact is read off the census down-sets (ModuleCensus.down), by
+popcount under one mask per key or by one bit: verify_counting's brackets,
+verify_invariants' B and W (_down_set_tables), meet ranks (the highest bit
+of down(C) & down(A)) and GHW minima, and verify_anticodes' anticode
+containment. Each anticode is found in the census by its digest
+(_census_positions). No Howell-form census or module intersection enters
+these references; check_rank_identity's dual sum C-perp + A-perp is the two
+generator lists joined. Membership reduces the whole universe against each
+census code at once (Code.contains_columns) and compares the accepted set
+with the element set. verify_anticodes weighs each element of R^n once per
+metric and reads each code's maximum weight off its element set, so no
+codeword is enumerated through Code, and holds each hull to its entry's
+floors (_element_floors). verify_lattice counts maximal chains as cover
+paths of the poset oracle, top down, and enumerates no chain.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, product
+from itertools import compress
 
 from . import anticodes as ac
 from . import dominance as comp
@@ -224,43 +222,32 @@ def _element_floors(params: ChainRingParams, census) -> list[tuple[int, ...]]:
     ]
 
 
-def _subcode_floors(params: ChainRingParams, census) -> list[Counter]:
-    """For each census entry C, how many entries D inside C have each
-    (rank, floor), by element sets alone: the popcount of C's down-set
-    under the mask of each (rank, floor)."""
-    ranks = (entry.rank for entry in census.entries)
-    masks = _masks(zip(ranks, _element_floors(params, census))).items()
-    return [
-        Counter({key: k for key, mask in masks if (k := (down & mask).bit_count())})
-        for down in census.down
-    ]
+def _census_positions(census, anticodes) -> list[int]:
+    """Each anticode's census index: the entry whose digest is its module."""
+    index = {entry.mat: i for i, entry in enumerate(census.entries)}
+    positions = [index.get(A.module()) for A in anticodes]
+    if None in positions:
+        missing = anticodes[positions.index(None)].exponents
+        raise InternalCheckError(f"anticode {missing} is not a census module")
+    return positions
 
 
-def _census_references(subcodes: list[Counter], s: int) -> list[tuple]:
-    """For each census code C, from its subcode floors: B[(a, j)], W[(a, j)]
-    and rank(C cap A_e) for every e. A subcode of floor f lies in exactly
-    the A_e with e <= f, and its hull is A_f; the rank of a meet is the
-    largest rank of a subcode inside it. So each code walks the box of each
-    of its distinct floors once; each box is listed once per suite."""
-    boxes, out = {}, []
-    for subs in subcodes:
-        by_floor = defaultdict(Counter)
-        for (r, floor), count in subs.items():
-            by_floor[floor][r] += count
-        b_ref, w_ref, meet = Counter(), Counter(), {}
-        for floor, counts in by_floor.items():
-            if floor not in boxes:
-                cells = product(*(range(f + 1) for f in floor))
-                boxes[floor] = [(e, matrices.valuation_counts(e, s + 1)) for e in cells]
-            top = max(counts)
-            for e, a in boxes[floor]:
-                for r, count in counts.items():
-                    b_ref[a, r] += count
-                meet[e] = max(meet.get(e, 0), top)
-            hull = matrices.valuation_counts(floor, s + 1)
-            w_ref.update({(hull, r): count for r, count in counts.items()})
-        out.append((b_ref, w_ref, meet))
-    return out
+def _down_set_tables(census, floors, anticodes):
+    """For each census code C with down-set d, its B and W tables by
+    popcount: B[(a, j)] adds, over the anticodes of shape a, the rank-j
+    entries of d & down(A); W[(a, j)] counts the rank-j entries of d whose
+    hull, the anticode with their floor as exponents, has shape a."""
+    s = census.parent.params.s
+    ranks = [entry.rank for entry in census.entries]
+    hulls = (matrices.valuation_counts(floor, s + 1) for floor in floors)
+    by_rank, by_hull = _masks(ranks), _masks(zip(hulls, ranks)).items()
+    inside = defaultdict(list)  # (a, j) -> down(A) & by_rank[j], A of shape a
+    for A, i in zip(anticodes, _census_positions(census, anticodes)):
+        for j, mask in by_rank.items():
+            inside[A.extended_subtype, j].append(census.down[i] & mask)
+    for d in census.down:
+        b = {key: sum((d & m).bit_count() for m in masks) for key, masks in inside.items()}
+        yield Counter(b), Counter({key: (d & m).bit_count() for key, m in by_hull})
 
 
 def verify_counting(
@@ -408,16 +395,11 @@ def verify_anticodes(
         return None
 
     def check_containment():
-        # Each anticode's element set is the census entry with its digest.
-        by_digest = {entry.mat: entry.elements for entry in census.entries}
-        spans = {}
-        for A in all_anticodes:
-            spans[A.exponents] = by_digest.get(A.module())
-            if spans[A.exponents] is None:
-                return f"anticode {A.exponents} is not a census module"
-        for A in all_anticodes:
-            for B in all_anticodes:
-                if ac.contains(A, B) != (spans[B.exponents] <= spans[A.exponents]):
+        # B lies inside A iff bit i(B) of A's census down-set is set.
+        positions = _census_positions(census, all_anticodes)
+        for A, i in zip(all_anticodes, positions):
+            for B, j in zip(all_anticodes, positions):
+                if ac.contains(A, B) != bool(census.down[i] >> j & 1):
                     return f"containment disagrees at {A.exponents}, {B.exponents}"
         return None
 
@@ -471,12 +453,12 @@ def verify_invariants(
 ):
     params = ChainRingParams(p, s)
     census, codes = _census_codes(params, n, cap, census)
-    subcodes = _subcode_floors(params, census)
     all_anticodes = oracle.enumerate_anticodes(n, params)
     comps = comp.compositions(s + 1, n)
     # Each code's table, R-weight fields included, is built once per suite.
     table = cache(inv.build_invariant_table)
-    references = _census_references(subcodes, s)
+    ranks = [entry.rank for entry in census.entries]
+    floors = _element_floors(params, census)
 
     def check_tables():
         # Every cell against the census reference: B(A, j) counts the rank-j
@@ -487,7 +469,8 @@ def verify_invariants(
             below = [b for b in comps if comp.dominance_leq(b, a)]
             containing[a] = [(b, inv.count_containing(b, a)) for b in below]
             inverting[a] = [(b, inv.inversion_coefficient(b, a)) for b in below]
-        for c, (want_b, want_w, _) in zip(codes, references):
+        references = _down_set_tables(census, floors, all_anticodes)
+        for c, (want_b, want_w) in zip(codes, references):
             t = table(c)
             moments, weights = t.binomial_moments, t.weight_distributions
             for a in comps:
@@ -511,10 +494,13 @@ def verify_invariants(
         # freerk(Mperp) and (C cap A)perp = Cperp + Aperp. The often-quoted
         # variant K - a_s + freerk(Cperp cap Aperp) is false in general (free
         # rank is not modular); acceptance criterion 13 keeps its refutation.
+        # C cap A is the largest entry inside both, so, as the census is
+        # sorted by size, the highest bit of down(C) & down(A).
+        downs = [census.down[i] for i in _census_positions(census, all_anticodes)]
         dual_anticodes = [ac.dual_anticode(A).module().rows for A in all_anticodes]
-        for c, (_, _, meet) in zip(codes, references):
+        for c, d in zip(codes, census.down):
             dual = matrices.kernel(c.gen).rows
-            for A, dual_a in zip(all_anticodes, dual_anticodes):
+            for A, a, dual_a in zip(all_anticodes, downs, dual_anticodes):
                 lhs = matrices.rank(matrices.restrict(c.gen, A.exponents))
                 rhs = n - matrices.free_rank(ModMatrix(params, n, dual + dual_a))
                 if lhs != rhs:
@@ -522,10 +508,11 @@ def verify_invariants(
                         f"rank duality fails for {c.gen.rows}, {A.exponents}: "
                         f"{lhs} != {rhs}"
                     )
-                if lhs != meet[A.exponents]:
+                meet = ranks[(d & a).bit_length() - 1] if d & a else None
+                if lhs != meet:
                     return (
                         f"rank of the meet for {c.gen.rows}, {A.exponents}: "
-                        f"{lhs}, but the census gives {meet[A.exponents]}"
+                        f"{lhs}, but the census gives {meet}"
                     )
         return None
 
@@ -551,10 +538,13 @@ def verify_invariants(
         return None
 
     def check_ghw():
-        for c, subs in zip(codes, subcodes):
+        # d_r is the least support, the coordinates with floor below s, of
+        # a rank-r entry of C's down-set.
+        supports = _masks(zip(ranks, (sum(x < s for x in f) for f in floors))).items()
+        for c, d in zip(codes, census.down):
             values = list(table(c).ghw)
             brute = [
-                min(sum(x < s for x in floor) for rank, floor in subs if rank == r)
+                min((w for (j, w), m in supports if j == r and d & m), default=None)
                 for r in range(1, c.rank + 1)
             ]
             if values != brute:

@@ -31,19 +31,19 @@ def test_anticode_basic_properties():
 
 
 def test_canonical_generator():
-    gen = ac.canonical_anticode((1, 1, 1), Z9).module()
+    gen = Anticode(Z9, (0, 1, 2)).module()
     assert gen.rows == ((1, 0, 0), (0, 3, 0))
-    assert ac.canonical_exponents((1, 1, 1), Z9) == (0, 1, 2)
-    assert ac.canonical_anticode((0, 0, 2), Z9).module().rows == ()
-    assert ac.canonical_anticode((3, 0, 0), Z9).module().rows == (
+    assert ac.family((1, 1, 1), Z9)[0].exponents == (0, 1, 2)
+    assert Anticode(Z9, (2, 2)).module().rows == ()
+    assert Anticode(Z9, (0, 0, 0)).module().rows == (
         (1, 0, 0),
         (0, 1, 0),
         (0, 0, 1),
     )
     with pytest.raises(ValueError):
-        ac.canonical_exponents((1, 1), Z9)
+        ac.family((1, 1), Z9)
     with pytest.raises(ValueError):
-        ac.canonical_exponents((0, 0, 0), Z9)
+        ac.family((0, 0, 0), Z9)
 
 
 def test_family_sizes():

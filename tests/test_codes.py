@@ -78,14 +78,13 @@ def test_dual_is_involutive_on_census():
         assert c.size * c.dual().size == 9**2
 
 
-def test_contains_vector():
+def test_contains_columns():
     c = example_code()
-    assert c.contains_vector((1, 2, 0))
-    assert c.contains_vector((4, 5, 0))
-    assert not c.contains_vector((1, 0, 0))
-    assert not c.contains_vector((0, 0, 1))
+    vectors = [(1, 2, 0), (4, 5, 0), (1, 0, 0), (0, 0, 1)]
+    columns = [list(column) for column in zip(*vectors)]
+    assert c.contains_columns(columns) == [True, True, False, False]
     with pytest.raises(ValueError):
-        c.contains_vector((1, 2))
+        c.contains_columns([[1], [2]])
 
 
 def test_weight_extremes():

@@ -211,13 +211,13 @@ def test_r_weights_full_code():
     full = Code.full(Z9, 3)
     assert inv.r_weight(full)[0] == (0, 1, 2)
     assert inv.r_weight_free(full)[0] == (1, 0, 2)
-    assert inv.ghw(full) == (1, 2, 3)
+    assert inv.r_weight_fields(full)["ghw"] == (1, 2, 3)
 
 
 def test_r_weights_example(ghw_by_elements):
     c = Code.from_rows(Z9, 3, [(1, 0, 0), (0, 3, 0)])
     assert inv.r_weight(c) == ((0, 1, 2), (0, 2, 1))
-    assert inv.ghw(c) == (1, 2)
+    assert inv.r_weight_fields(c)["ghw"] == (1, 2)
     assert ghw_by_elements(c) == (1, 2)
 
 
@@ -484,7 +484,8 @@ def test_r_weights_are_the_first_nonzero_moments(p, s, n):
         )
         assert inv.r_weight(code) == table.r_weights == want, code.gen.rows
         assert inv.r_weight_free(code) == table.r_weights_free == want_free, code.gen.rows
-        assert inv.ghw(code) == table.ghw == tuple(a[0] for a in want_free)
+        ghw = inv.r_weight_fields(code)["ghw"]
+        assert ghw == table.ghw == tuple(a[0] for a in want_free)
         assert table.minimal_valid == inv.r_weight_minimal_set(code)
 
 

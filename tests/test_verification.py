@@ -224,6 +224,13 @@ PLANTED = {
         oracle, "_down_sets", _skips_one_lower_cover, "counting",
         "brackets count submodules on every parent",
     ),
+    "down_sets_tables": (
+        oracle, "_down_sets", _skips_one_lower_cover, "invariants", TABLES,
+    ),
+    "down_sets_containment": (
+        oracle, "_down_sets", _skips_one_lower_cover, "anticodes",
+        "containment agrees with module inclusion",
+    ),
     "count_containing": (inv, "count_containing", _off_by_one, "invariants", TABLES),
     "inversion_coefficient": (
         inv, "inversion_coefficient", _off_by_one, "invariants", TABLES,
@@ -244,8 +251,7 @@ PLANTED = {
         mx, "free_rank", _off_by_one, "invariants",
         "intersection rank matches dual-sum free rank",
     ),
-    # contains_vector is the one-vector case of contains_columns.
-    "contains_vector": (
+    "contains_columns": (
         Code, "contains_columns", _negates_each, "counting",
         "membership agrees with element sets",
     ),
@@ -373,6 +379,14 @@ def test_anticode_outside_the_census_fails_containment(monkeypatch, capsys):
     monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
     assert cli.main(["verify", "anticodes", "--format", "text"]) == 3
     assert f"FAIL {name}: anticode (0, 0)" in capsys.readouterr().out
+    # The invariant checks that read an anticode's down-set fail the same way.
+    names = [TABLES, "intersection rank matches dual-sum free rank"]
+    results = {r.name: r for r in vf.verify_invariants(3, 2, 2)}
+    for name in names:
+        assert results[name].detail == "anticode (0, 0) is not a census module"
+    assert cli.main(["verify", "invariants", "--format", "text"]) == 3
+    out = capsys.readouterr().out
+    assert all(f"FAIL {name}: anticode (0, 0)" in out for name in names)
 
 
 def test_verify_invariants_builds_each_table_once(monkeypatch):
@@ -440,22 +454,43 @@ def _per_family_tables(params, subs, comps):
     return want_b, want_w
 
 
+def _subcode_classes(params, census, census_inside):
+    """For each census entry C, how many entries inside C have each (rank,
+    floor), by subset tests and valuations on element sets alone."""
+    entries, coords = census.entries, range(census.parent.n)
+    floors = [
+        tuple(min(params.valuation(v[t]) for v in d.elements) for t in coords)
+        for d in entries
+    ]
+    return [
+        Counter((entries[j].rank, floors[j]) for j in inside)
+        for inside in census_inside(census)
+    ]
+
+
 @pytest.mark.parametrize("p, s, n", [(3, 2, 2), (2, 3, 2), (2, 1, 4)])
-def test_census_references_match_the_per_family_loop(p, s, n):
+def test_census_references_match_the_per_family_loop(p, s, n, census_inside):
     params = ChainRingParams(p, s)
     census = oracle.enumerate_submodules(ModMatrix.full(params, n))
     comps = comp.compositions(s + 1, n)
-    subcodes = vf._subcode_floors(params, census)
-    for subs, (b_ref, w_ref, _) in zip(subcodes, vf._census_references(subcodes, s)):
+    floors = vf._element_floors(params, census)
+    tables = vf._down_set_tables(census, floors, oracle.enumerate_anticodes(n, params))
+    classes = _subcode_classes(params, census, census_inside)
+    for subs, (b_ref, w_ref) in zip(classes, tables, strict=True):
         assert (b_ref, w_ref) == _per_family_tables(params, subs, comps)
 
 
 def test_census_meet_ranks_match_restrict():
+    # C cap A is the highest bit of down(C) & down(A).
     params = ChainRingParams(3, 2)
     census = oracle.enumerate_submodules(ModMatrix.full(params, 2))
-    references = vf._census_references(vf._subcode_floors(params, census), 2)
     anticodes = oracle.enumerate_anticodes(2, params)
-    for entry, (_, _, meet) in zip(census.entries, references):
+    downs = [census.down[i] for i in vf._census_positions(census, anticodes)]
+    for entry, d in zip(census.entries, census.down):
+        meet = {
+            A.exponents: census.entries[(d & a).bit_length() - 1].rank
+            for A, a in zip(anticodes, downs)
+        }
         assert sorted(meet) == [A.exponents for A in anticodes]
         for A in anticodes:
             assert meet[A.exponents] == mx.rank(mx.restrict(entry.mat, A.exponents))
