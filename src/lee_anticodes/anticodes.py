@@ -169,16 +169,22 @@ def weight_bound(code: Code, metric: str) -> int:
     raise ValueError(f"unknown metric: {metric!r}")
 
 
-def is_optimal(code: Code, metric: str, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """Whether the code's maximum weight meets the anticode bound for its metric.
+def meets_bound(code: Code, metric: str, max_weight: int | None) -> bool:
+    """Whether a code of maximum weight `max_weight` is optimal: the maximum
+    meets the anticode bound for the metric.
 
     For the Lee metric (odd p only) the bound-meeting codes are exactly the
-    anticodes, so the verdict is structural: the code equals the hull
-    anticode it spans.
+    anticodes, so the verdict is structural, the code equals the hull
+    anticode it spans, and `max_weight` is not read.
     """
-    if metric in ("hamming", "hom"):
-        return code.max_weight(metric, cap) == weight_bound(code, metric)
-    if metric != "lee":
-        raise ValueError(f"unknown metric: {metric!r}")
-    code.params.require_odd()
-    return code.size == hull(code).size
+    if metric == "lee":
+        code.params.require_odd()
+        return code.size == hull(code).size
+    return max_weight == weight_bound(code, metric)
+
+
+def is_optimal(code: Code, metric: str, cap: int = DEFAULT_ENUM_CAP) -> bool:
+    """`meets_bound`, enumerating C for the maximum weight only when the
+    metric needs it (hamming and hom)."""
+    top = code.max_weight(metric, cap) if metric in ("hamming", "hom") else None
+    return meets_bound(code, metric, top)

@@ -324,7 +324,7 @@ def cmd_code(args, cap: int | None) -> _Output:
         metrics = [m for m in metrics if m != "lee"]
     verdicts = {
         metric: {
-            "optimal": ac.is_optimal(code, metric, capv),
+            "optimal": ac.meets_bound(code, metric, top),
             "bound": ac.weight_bound(code, metric),
             "max_weight": top,
         }

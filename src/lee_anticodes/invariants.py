@@ -48,11 +48,15 @@ builds no Code or Anticode, keeps no cache and never enumerates C.
 Each quantity is computed one way here; `verification.verify_invariants`
 checks it against the element-set census of submodules, the double
 enumeration of pairs and both identities.
+
+A table names its code by a digest, the SHA-256 of the canonical
+generator matrix as `matrices.format_matrix` writes it. It comes from
+CPython's builtin SHA-256 module, so no OpenSSL is loaded; `hashlib` is
+the fallback only on a build that ships no such module.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import operator
@@ -71,6 +75,16 @@ from .dominance import (
 )
 from .errors import InternalCheckError, guard_cap
 from .ring import ChainRingParams
+
+try:
+    # hashlib loads OpenSSL, which is heavy: take the lean builtin module
+    # first, as the standard library's random.py does for SHA-512.
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 DEFAULT_CENSUS_CAP = 3**7
 
@@ -378,7 +392,8 @@ class InvariantTable:
 
     Entries are keyed by (a, j) for every a in the composition lattice of
     the code's length and every rank 0 <= j <= rank(C). The digest
-    identifies the code by its canonical generator matrix.
+    identifies the code: the SHA-256 of its canonical generator matrix as
+    `matrices.format_matrix` writes it.
     """
 
     params: ChainRingParams
@@ -527,7 +542,7 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
         params=params,
         n=n,
         rank=jmax,
-        digest=hashlib.sha256(matrices.format_matrix(code.gen).encode()).hexdigest(),
+        digest=sha256(matrices.format_matrix(code.gen).encode()).hexdigest(),
         linear_extension=LINEAR_EXTENSION_NAME,
         binomial_moments=moments,
         weight_distributions=weights,

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -215,7 +216,7 @@ def test_code_optimal(capsys, code_file, free_code_file):
     assert csv_out == "metric;optimal;bound;max_weight\nlee;true;7;7\n"
 
 
-@pytest.mark.parametrize("action", ["analyze", "distance"])
+@pytest.mark.parametrize("action", ["analyze", "distance", "optimal"])
 def test_code_action_enumerates_once(capsys, monkeypatch, code_file, action):
     calls = []
     columns = matrices.element_columns
@@ -602,6 +603,44 @@ def test_module_runs_as_script():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0,0,2\n0,1,1\n0,2,0\n1,0,1\n1,1,0\n2,0,0\n"
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="no builtin SHA-256 module: digests take hashlib",
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariants", "{code}", "moments"),
+        ("code", "{code}", "analyze"),
+        ("lattice", "--parts", "3", "--sum", "3", "enum"),
+        ("verify", "invariants"),
+    ],
+)
+def test_commands_load_no_openssl(code_file, argv):
+    """hashlib loads OpenSSL's _hashlib, some 3.5 MB resident; the table
+    digest comes from the builtin SHA-256 module, so no command loads it."""
+    script = (
+        "import sys\n"
+        "from lee_anticodes import cli\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "print('_hashlib loaded:', '_hashlib' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop(cli.CAP_ENV_VAR, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *(arg.format(code=code_file) for arg in argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert proc.stderr.splitlines()[-1] == "_hashlib loaded: False"
 
 
 def test_bad_cap_flag_exits_1(capsys):

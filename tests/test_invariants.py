@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -523,6 +524,20 @@ def test_table_digest_identifies_code():
     other = inv.build_invariant_table(Code.from_rows(Z9, 3, [(1, 0, 0)]))
     assert a.digest == b.digest
     assert a.digest != other.digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    random_codes().filter(
+        lambda code: (code.params.s + 1) ** code.n <= 256
+        and code.size <= inv.DEFAULT_CENSUS_CAP
+    )
+)
+def test_table_digest_is_sha256_of_canonical_matrix(code):
+    """The builtin SHA-256 module gives the bytes hashlib's would."""
+    text = matrices.format_matrix(code.gen)
+    want = hashlib.sha256(text.encode()).hexdigest()
+    assert inv.build_invariant_table(code).digest == want, text
 
 
 def test_table_json_dict():
