@@ -67,7 +67,7 @@ class Anticode:
             for j, e in enumerate(self.exponents)
             if e < s
         )
-        return ModMatrix(self.params, self.n, rows)
+        return ModMatrix._reduced(self.params, self.n, rows)
 
     def as_code(self) -> Code:
         return Code(self.module())

@@ -14,14 +14,14 @@ verify_invariants' B and W (_down_set_tables), meet ranks (the highest bit
 of down(C) & down(A)) and GHW minima, and verify_anticodes' anticode
 containment. Each anticode is found in the census by its digest
 (_census_positions). No Howell-form census or module intersection enters
-these references; check_rank_identity's dual sum C-perp + A-perp is the two
-generator lists joined. Membership reduces the whole universe against each
-census code at once (Code.contains_columns) and compares the accepted set
-with the element set. verify_anticodes weighs each element of R^n once per
-metric and reads each code's maximum weight off its element set, so no
-codeword is enumerated through Code, and holds each hull to its entry's
-floors (_element_floors). verify_lattice counts maximal chains as cover
-paths of the poset oracle, top down, and enumerates no chain.
+these references; check_kernels and check_rank_identity read every dual off
+one kernel map per census (_duals). Membership reduces the whole universe
+against each census code at once (Code.contains_columns) and compares the
+accepted set with the element set. verify_anticodes weighs each element of
+R^n once per metric and reads each code's maximum weight off its element
+set, so no codeword is enumerated through Code, and holds each hull to its
+entry's floors (_element_floors). verify_lattice counts maximal chains as
+cover paths of the poset oracle, top down, and enumerates no chain.
 """
 
 from __future__ import annotations
@@ -232,6 +232,18 @@ def _census_positions(census, anticodes) -> list[int]:
     return positions
 
 
+def _duals(census) -> list[int]:
+    """The kernel map: each entry's kernel as a census index, an involution."""
+    index = {entry.mat: i for i, entry in enumerate(census.entries)}
+    duals = [index.get(matrices.kernel(entry.mat)) for entry in census.entries]
+    for i, (entry, k) in enumerate(zip(census.entries, duals)):
+        if k is None:
+            raise InternalCheckError(f"kernel of {entry.mat.rows} is not a census module")
+        if duals[k] != i:
+            raise InternalCheckError(f"double kernel differs for {entry.mat.rows}")
+    return duals
+
+
 def _down_set_tables(census, floors, anticodes):
     """For each census code C with down-set d, its B and W tables by
     popcount: B[(a, j)] adds, over the anticodes of shape a, the rank-j
@@ -305,16 +317,13 @@ def verify_counting(
         return None
 
     def check_kernels():
-        for entry in census.entries:
-            ker = matrices.kernel(entry.mat)
-            if matrices.span_size(entry.mat) * matrices.span_size(ker) != p ** (s * n):
+        entries = census.entries
+        for entry, ker in zip(entries, [entries[k] for k in _duals(census)]):
+            if len(entry.elements) * len(ker.elements) != p ** (s * n):
                 return f"kernel size pairing fails for {entry.mat.rows}"
-            if matrices.kernel(ker) != entry.mat:
-                return f"double kernel differs for {entry.mat.rows}"
-            k = entry.subtype
-            expect = (n - entry.rank,) + tuple(k[s - i] for i in range(1, s))
-            if matrices.subtype(ker) != expect:
-                return f"kernel subtype {matrices.subtype(ker)} != {expect}"
+            expect = (n - entry.rank,) + entry.subtype[:0:-1]
+            if ker.subtype != expect:
+                return f"kernel subtype {ker.subtype} != {expect}"
         return None
 
     def check_membership():
@@ -489,30 +498,31 @@ def verify_invariants(
         return None
 
     def check_rank_identity():
-        # rk(C cap A) = n - freerk(Cperp + Aperp), and the census meet rank.
-        # The first is the sound form of the duality, via rk(M) = n -
-        # freerk(Mperp) and (C cap A)perp = Cperp + Aperp. The often-quoted
-        # variant K - a_s + freerk(Cperp cap Aperp) is false in general (free
-        # rank is not modular); acceptance criterion 13 keeps its refutation.
-        # C cap A is the largest entry inside both, so, as the census is
-        # sorted by size, the highest bit of down(C) & down(A).
-        downs = [census.down[i] for i in _census_positions(census, all_anticodes)]
-        dual_anticodes = [ac.dual_anticode(A).module().rows for A in all_anticodes]
-        for c, d in zip(codes, census.down):
-            dual = matrices.kernel(c.gen).rows
-            for A, a, dual_a in zip(all_anticodes, downs, dual_anticodes):
+        # (C cap A)perp = Cperp + Aperp, the kernel-map image of the top bit of
+        # down(C) & down(A); K - a_s + freerk(Cperp cap Aperp) is false (criterion 13).
+        entries, down, duals = census.entries, census.down, _duals(census)
+        for entry, d, k in zip(entries, down, duals):
+            if matrices.free_rank(entry.mat) != entry.subtype[0]:
+                return f"free rank of {entry.mat.rows} disagrees with its filtration"
+            while d:
+                j, d = (d & -d).bit_length() - 1, d & (d - 1)
+                if not down[duals[j]] >> k & 1:
+                    return f"order not reversed: {entries[j].mat.rows} in {entry.mat.rows}"
+        downs = [down[i] for i in _census_positions(census, all_anticodes)]
+        for c, d in zip(codes, down):
+            for A, a in zip(all_anticodes, downs):
                 lhs = matrices.rank(matrices.restrict(c.gen, A.exponents))
-                rhs = n - matrices.free_rank(ModMatrix(params, n, dual + dual_a))
+                meet = (d & a).bit_length() - 1
+                rhs = n - entries[duals[meet]].subtype[0] if d & a else None
                 if lhs != rhs:
                     return (
                         f"rank duality fails for {c.gen.rows}, {A.exponents}: "
                         f"{lhs} != {rhs}"
                     )
-                meet = ranks[(d & a).bit_length() - 1] if d & a else None
-                if lhs != meet:
+                if lhs != ranks[meet]:
                     return (
                         f"rank of the meet for {c.gen.rows}, {A.exponents}: "
-                        f"{lhs}, but the census gives {meet}"
+                        f"{lhs}, but the census gives {ranks[meet]}"
                     )
         return None
 

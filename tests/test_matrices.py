@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lee_anticodes import invariants as inv
 from lee_anticodes import matrices as mx
 from lee_anticodes import oracle
-from lee_anticodes.anticodes import Anticode
+from lee_anticodes.anticodes import Anticode, dual_anticode
 from lee_anticodes.codes import Code
 from lee_anticodes.errors import CapExceeded
 from lee_anticodes.matrices import ModMatrix
@@ -399,12 +399,37 @@ def matrix_pairs(draw):
 @given(matrix_pairs())
 def test_free_rank_of_joined_generators_matches_module_sum(pair):
     """free_rank and the subtype are module invariants of any generating
-    set, so the rank identity may read them off the two generator lists
-    joined, with module_sum as the reference."""
+    set: two generator lists joined give those of their module_sum."""
     a, b = pair
     joined = ModMatrix(a.params, a.n, a.rows + b.rows)
     assert mx.free_rank(joined) == mx.free_rank(mx.module_sum(a, b))
     assert mx.subtype(joined) == mx.subtype(mx.module_sum(a, b))
+
+
+DUAL_SUM_RINGS = [Z9, ChainRingParams(2, 2), ChainRingParams(2, 3), ChainRingParams(5, 1)]
+
+
+@st.composite
+def dual_sums(draw):
+    """C-perp + A-perp as unreduced joined generators: the kernel rows of a
+    code C and the rows of the dual anticode of A, over a small ring."""
+    params = draw(st.sampled_from(DUAL_SUM_RINGS))
+    n = draw(st.integers(1, 3))
+    entries = st.integers(0, params.modulus - 1)
+    rows = draw(st.lists(st.tuples(*[entries] * n), max_size=3))
+    code = ModMatrix(params, n, tuple(rows))
+    A = Anticode(params, draw(st.tuples(*[st.integers(0, params.s)] * n)))
+    return ModMatrix(params, n, mx.kernel(code).rows + dual_anticode(A).module().rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dual_sums())
+def test_free_rank_of_a_joined_dual_sum_matches_its_element_set(joined):
+    """verify's rank identity reads free ranks off census digests, which are
+    reduced; free_rank on joined, unreduced generators is held here to the
+    size filtration of their span's element set."""
+    elems = span_elements(joined.params, joined.n, joined.rows)
+    assert mx.free_rank(joined) == subtype_from_elements(joined.params, elems)[0]
 
 
 def test_restrict_examples():

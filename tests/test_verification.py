@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import pytest
@@ -199,7 +200,17 @@ def _skips_one_lower_cover(down_sets):
     return lambda covers: down_sets([below[1:] for below in covers])
 
 
+def _drops_last_kernel_row(kernel):
+    def planted(mat):
+        ker = kernel(mat)
+        return ModMatrix(ker.params, ker.n, ker.rows[:-1])
+
+    return planted
+
+
 TABLES = "invariant tables satisfy both identities"
+KERNELS = "kernels pair sizes and reverse subtypes"
+RANK_IDENTITY = "intersection rank matches dual-sum free rank"
 
 # Each production route with one planted fault: (owner, attribute, fault,
 # the suite that keeps the second route, the check that must catch it).
@@ -247,9 +258,10 @@ PLANTED = {
         inv, "r_weight_fields", _ghw_off_by_one, "invariants",
         "ghw matches brute support minima",
     ),
-    "free_rank": (
-        mx, "free_rank", _off_by_one, "invariants",
-        "intersection rank matches dual-sum free rank",
+    "free_rank": (mx, "free_rank", _off_by_one, "invariants", RANK_IDENTITY),
+    "kernel_counting": (mx, "kernel", _drops_last_kernel_row, "counting", KERNELS),
+    "kernel_invariants": (
+        mx, "kernel", _drops_last_kernel_row, "invariants", RANK_IDENTITY,
     ),
     "contains_columns": (
         Code, "contains_columns", _negates_each, "counting",
@@ -380,13 +392,71 @@ def test_anticode_outside_the_census_fails_containment(monkeypatch, capsys):
     assert cli.main(["verify", "anticodes", "--format", "text"]) == 3
     assert f"FAIL {name}: anticode (0, 0)" in capsys.readouterr().out
     # The invariant checks that read an anticode's down-set fail the same way.
-    names = [TABLES, "intersection rank matches dual-sum free rank"]
+    names = [TABLES, RANK_IDENTITY]
     results = {r.name: r for r in vf.verify_invariants(3, 2, 2)}
     for name in names:
         assert results[name].detail == "anticode (0, 0) is not a census module"
     assert cli.main(["verify", "invariants", "--format", "text"]) == 3
     out = capsys.readouterr().out
     assert all(f"FAIL {name}: anticode (0, 0)" in out for name in names)
+
+
+def test_kernel_outside_the_census_fails_both_kernel_checks(monkeypatch, capsys):
+    # The kernel of the zero module, R^2, with its rows reversed: the same
+    # module, but no Howell form, so no census digest.
+    kernel = mx.kernel
+
+    def reversed_rows(mat):
+        ker = kernel(mat)
+        return ModMatrix(ker.params, ker.n, ker.rows[::-1])
+
+    monkeypatch.setattr(mx, "kernel", reversed_rows)
+    monkeypatch.delenv(cli.CAP_ENV_VAR, raising=False)
+    for scope, name in [("counting", KERNELS), ("invariants", RANK_IDENTITY)]:
+        results = {r.name: r for r in getattr(vf, f"verify_{scope}")(3, 2, 2)}
+        assert results[name].detail == "kernel of () is not a census module"
+        assert cli.main(["verify", scope, "--format", "text"]) == 3
+        assert f"FAIL {name}: kernel of ()" in capsys.readouterr().out
+
+
+def _called_from(name: str) -> bool:
+    """Whether a function called name is on the stack above the caller."""
+    frame = sys._getframe(2)
+    while frame is not None and frame.f_code.co_name != name:
+        frame = frame.f_back
+    return frame is not None
+
+
+def test_rank_identity_makes_one_kernel_and_free_rank_per_entry(monkeypatch):
+    # The dual sum of each (code, anticode) pair is read off the kernel map,
+    # so no pair sweeps or validates a matrix of its own.
+    census = oracle.enumerate_submodules(ModMatrix.full(ChainRingParams(3, 2), 2))
+    calls = Counter()
+    for name in ("kernel", "free_rank"):
+
+        def counted(mat, original=getattr(mx, name), name=name):
+            calls[name] += 1
+            return original(mat)
+
+        monkeypatch.setattr(mx, name, counted)
+    entered = []
+    post_init = ModMatrix.__post_init__
+
+    def traced(self):
+        entered.append(_called_from("check_rank_identity"))
+        post_init(self)
+
+    monkeypatch.setattr(ModMatrix, "__post_init__", traced)
+    assert all(r.passed for r in vf.verify_invariants(3, 2, 2))
+    assert 0 < calls["kernel"] <= len(census)
+    assert 0 < calls["free_rank"] <= len(census)
+    assert entered and not any(entered)
+
+
+@pytest.mark.parametrize("p, s", [(3, 2), (2, 3), (5, 1)])
+def test_census_suites_pass_at_length_one(p, s):
+    for suite in (vf.verify_counting, vf.verify_anticodes, vf.verify_invariants):
+        assert [r.name for r in suite(p, s, 1) if not r.passed] == []
 
 
 def test_verify_invariants_builds_each_table_once(monkeypatch):
