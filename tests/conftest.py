@@ -1,11 +1,19 @@
 """Helpers shared by the test modules: references that only tests use."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from lee_anticodes import anticodes as ac
 from lee_anticodes import invariants as inv
 from lee_anticodes import matrices, oracle
+from lee_anticodes.cli import CAP_ENV_VAR
 from lee_anticodes.codes import Code
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _census_inside(census) -> list[list[int]]:
@@ -46,6 +54,21 @@ def _ghw_by_elements(code: Code) -> tuple[int, ...]:
         )
         for r in range(1, code.rank + 1)
     )
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on `args`, with `src` on the import path and no
+    cap in the environment; stdout and stderr are captured as text."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop(CAP_ENV_VAR, None)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+@pytest.fixture
+def run_python():
+    return _run_python
 
 
 @pytest.fixture

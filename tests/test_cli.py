@@ -589,36 +589,28 @@ def test_prime_from_2_64_exits_1(capsys, tmp_path):
     assert "p must be below 2^64" in err
 
 
-def test_module_runs_as_script():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop(cli.CAP_ENV_VAR, None)
+def test_module_runs_as_script(run_python):
     argv = ["lattice", "--parts", "3", "--sum", "2", "enum", "--format", "text"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "lee_anticodes.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    proc = run_python("-m", "lee_anticodes.cli", *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0,0,2\n0,1,1\n0,2,0\n1,0,1\n1,1,0\n2,0,0\n"
+
+
+# One command of each family, "{code}" standing for a code file.
+_COMMANDS = [
+    ("invariants", "{code}", "moments"),
+    ("code", "{code}", "analyze"),
+    ("lattice", "--parts", "3", "--sum", "3", "enum"),
+    ("verify", "invariants"),
+]
 
 
 @pytest.mark.skipif(
     not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
     reason="no builtin SHA-256 module: digests take hashlib",
 )
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("invariants", "{code}", "moments"),
-        ("code", "{code}", "analyze"),
-        ("lattice", "--parts", "3", "--sum", "3", "enum"),
-        ("verify", "invariants"),
-    ],
-)
-def test_commands_load_no_openssl(code_file, argv):
+@pytest.mark.parametrize("argv", _COMMANDS)
+def test_commands_load_no_openssl(run_python, code_file, argv):
     """hashlib loads OpenSSL's _hashlib, some 3.5 MB resident; the table
     digest comes from the builtin SHA-256 module, so no command loads it."""
     script = (
@@ -628,19 +620,64 @@ def test_commands_load_no_openssl(code_file, argv):
         "print('_hashlib loaded:', '_hashlib' in sys.modules, file=sys.stderr)\n"
         "sys.exit(status)\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop(cli.CAP_ENV_VAR, None)
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *(arg.format(code=code_file) for arg in argv)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    proc = run_python("-c", script, *(arg.format(code=code_file) for arg in argv))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     assert proc.stderr.splitlines()[-1] == "_hashlib loaded: False"
+
+
+# Records the file of every code object run by exec(), the event the import
+# system raises for each module it executes, from source or from bytecode.
+_RECORD_EXECS = (
+    "import sys\n"
+    "ran = set()\n"
+    "def hook(event, args):\n"
+    "    if event == 'exec':\n"
+    "        ran.add(getattr(args[0], 'co_filename', ''))\n"
+    "sys.addaudithook(hook)\n"
+)
+
+
+@pytest.mark.parametrize("argv", _COMMANDS)
+def test_only_verify_runs_oracle_and_verification(run_python, code_file, argv):
+    """`cli` binds both brute-force modules at import and runs their code on
+    first use, which only `verify` makes."""
+    script = _RECORD_EXECS + (
+        "import json, os\n"
+        "from lee_anticodes import cli\n"
+        "deferred = ('lee_anticodes.oracle', 'lee_anticodes.verification')\n"
+        "bound = [name in sys.modules for name in deferred]\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "package = os.path.dirname(cli.__file__)\n"
+        "ran = sorted(os.path.basename(f) for f in ran if os.path.dirname(f) == package)\n"
+        "print(json.dumps({'bound': bound, 'ran': ran}), file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    proc = run_python("-c", script, *(arg.format(code=code_file) for arg in argv))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stderr.splitlines()[-1])
+    assert record["bound"] == [True, True]
+    assert {"cli.py", "invariants.py", "matrices.py"} <= set(record["ran"])
+    deferred = {"oracle.py", "verification.py"}
+    assert deferred & set(record["ran"]) == (deferred if argv[0] == "verify" else set())
+
+
+def test_suite_replaced_before_first_use_is_run(run_python):
+    """A suite set on `cli.verification` before the module has run survives
+    its first use: `cmd_verify` runs the replacement."""
+    script = _RECORD_EXECS + (
+        "import types\n"
+        "from lee_anticodes import cli\n"
+        "assert not any(f.endswith('verification.py') for f in ran)\n"
+        "cli.verification.verify_lattice = lambda parts, total, cap=None: [\n"
+        "    types.SimpleNamespace(name='stub check', passed=False, detail='broken')\n"
+        "]\n"
+        "sys.exit(cli.main(['verify', 'lattice', '--format', 'text']))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 3, proc.stderr
+    assert "counterexample [stub check]: broken" in proc.stderr
+    assert proc.stdout == "FAIL stub check: broken\nfailures: 1\n"
 
 
 def test_bad_cap_flag_exits_1(capsys):
