@@ -323,7 +323,9 @@ def _cell_counts(code: Code, cap: int) -> list[int]:
     return counts
 
 
-def _meet_subtypes(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int, ...]]:
+def _meet_subtypes(
+    code: Code, cap: int = DEFAULT_CENSUS_CAP
+) -> tuple[tuple[int, ...], ...]:
     """The extended subtype of C cap A_e for every cell e, from one pass over C.
 
     Suffix sums of the cell counts (`_cell_counts`) give |C cap A_e|, and
@@ -342,7 +344,7 @@ def _meet_subtypes(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int,
         raise InternalCheckError(f"|C cap A| = {exc.args[0]} is no power of {p}") from None
     levels = list(zip(*(_clamped(logs, n, s, s - i) for i in range(1, s)), logs))
     subtype = {lv: _subtype_from_sizes((0, *lv), n) for lv in dict.fromkeys(levels)}
-    return list(map(subtype.__getitem__, levels))
+    return tuple(map(subtype.__getitem__, levels))
 
 
 def _inversion_pass(rows: dict, shapes, n: int, t: int) -> dict:
@@ -393,7 +395,9 @@ class InvariantTable:
     Entries are keyed by (a, j) for every a in the composition lattice of
     the code's length and every rank 0 <= j <= rank(C). The digest
     identifies the code: the SHA-256 of its canonical generator matrix as
-    `matrices.format_matrix` writes it.
+    `matrices.format_matrix` writes it. meet_subtypes is the grid the
+    tables are built from, the extended subtype of C cap A_e for every e in
+    {0..s}^n in lexicographic order; no output prints it.
     """
 
     params: ChainRingParams
@@ -407,6 +411,7 @@ class InvariantTable:
     r_weights_free: tuple[tuple[int, ...], ...]
     ghw: tuple[int, ...]
     minimal_valid: tuple[tuple[tuple[int, ...], ...], ...]
+    meet_subtypes: tuple[tuple[int, ...], ...]
 
 
 def r_weight_minimal_set(code: Code) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -547,6 +552,7 @@ def build_invariant_table(code: Code, cap: int = DEFAULT_CENSUS_CAP) -> Invarian
         binomial_moments=moments,
         weight_distributions=weights,
         **r_weight_fields(code),
+        meet_subtypes=subtypes,
     )
 
 

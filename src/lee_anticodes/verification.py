@@ -15,7 +15,12 @@ of down(C) & down(A)) and GHW minima, and verify_anticodes' anticode
 containment. Each anticode is found in the census by its digest
 (_census_positions). No Howell-form census or module intersection enters
 these references; check_kernels and check_rank_identity read every dual off
-one kernel map per census (_duals). Membership reduces the whole universe
+one kernel map per census (_duals). Each production answer is computed once
+and every check reads it: check_rank_identity reads rank(C cap A) off the
+grid of C's table (InvariantTable.meet_subtypes), not one restriction per
+pair; check_tables compares every cell of every table with the census but
+checks the two inversion identities once per distinct table; check_subtypes
+reads each Code's own subtype. Membership reduces the whole universe
 against each census code at once (Code.contains_columns) and compares the
 accepted set with the element set. verify_anticodes weighs each element of
 R^n once per metric and reads each code's maximum weight off its element
@@ -285,12 +290,12 @@ def verify_counting(
         return None
 
     def check_subtypes():
-        for entry in census.entries:
-            if matrices.subtype(entry.mat) != entry.subtype:
+        # Code ran matrices.subtype on the same Howell form.
+        for entry, code in zip(census.entries, codes):
+            if code.subtype != entry.subtype:
                 return (
                     f"subtype disagrees for {entry.mat.rows}: "
-                    f"systematic {matrices.subtype(entry.mat)}, "
-                    f"filtration {entry.subtype}"
+                    f"systematic {code.subtype}, filtration {entry.subtype}"
                 )
         return None
 
@@ -339,8 +344,11 @@ def verify_counting(
         return None
 
     def check_enumeration():
+        # The element set has no repeats, so equal lengths and sets mean
+        # each element once.
         for entry in census.entries:
-            if sorted(matrices.enumerate_elements(entry.mat)) != sorted(entry.elements):
+            elements = list(matrices.enumerate_elements(entry.mat))
+            if len(elements) != len(entry.elements) or set(elements) != entry.elements:
                 return f"enumeration disagrees for {entry.mat.rows}"
         return None
 
@@ -470,36 +478,55 @@ def verify_invariants(
     floors = _element_floors(params, census)
 
     def check_tables():
-        # Every cell against the census reference: B(A, j) counts the rank-j
-        # subcodes of C inside A, W(A, j) those whose hull is A. Then B >= W
-        # and both identities, with each coefficient computed once.
+        # Every cell of every table against the census reference: B(A, j)
+        # counts the rank-j subcodes of C inside A, W(A, j) those whose hull
+        # is A. B >= W and both identities depend only on the table's
+        # values, so they are checked once per distinct table, with each
+        # coefficient computed once.
         containing, inverting = {}, {}
         for a in comps:
             below = [b for b in comps if comp.dominance_leq(b, a)]
             containing[a] = [(b, inv.count_containing(b, a)) for b in below]
             inverting[a] = [(b, inv.inversion_coefficient(b, a)) for b in below]
+        cells = [[(a, j) for a in comps for j in range(r + 1)] for r in range(n + 1)]
         references = _down_set_tables(census, floors, all_anticodes)
+        checked = set()  # the cell values of the tables whose identities hold
         for c, (want_b, want_w) in zip(codes, references):
             t = table(c)
             moments, weights = t.binomial_moments, t.weight_distributions
-            for a in comps:
-                for j in range(c.rank + 1):
-                    key, where = (a, j), f"at a={a}, j={j} for {c.gen.rows}"
-                    want = (want_b[key], want_w[key])
-                    got = (moments[key], weights[key])
-                    if got != want:
-                        return f"(B, W) = {got} but the census gives {want} {where}"
-                    identities = (
-                        sum(x * weights[b, j] for b, x in containing[a]),
-                        sum(x * moments[b, j] for b, x in inverting[a]),
+            keys = cells[c.rank]
+            got = [(moments[key], weights[key]) for key in keys]
+            want = [(want_b[key], want_w[key]) for key in keys]
+            if got != want:
+                i = next(i for i, pair in enumerate(got) if pair != want[i])
+                a, j = keys[i]
+                return (
+                    f"(B, W) = {got[i]} but the census gives {want[i]} "
+                    f"at a={a}, j={j} for {c.gen.rows}"
+                )
+            # Its length fixes the rank and so the cells: equal values mean
+            # equal tables.
+            values = tuple(got)
+            if values in checked:
+                continue
+            for (a, j), (b_aj, w_aj) in zip(keys, got):
+                identities = (
+                    sum(x * weights[b, j] for b, x in containing[a]),
+                    sum(x * moments[b, j] for b, x in inverting[a]),
+                )
+                if b_aj < w_aj or identities != (b_aj, w_aj):
+                    return (
+                        f"B < W or an inversion identity fails "
+                        f"at a={a}, j={j} for {c.gen.rows}"
                     )
-                    if got[0] < got[1] or identities != got:
-                        return f"B < W or an inversion identity fails {where}"
+            checked.add(values)
         return None
 
     def check_rank_identity():
         # (C cap A)perp = Cperp + Aperp, the kernel-map image of the top bit of
         # down(C) & down(A); K - a_s + freerk(Cperp cap Aperp) is false (criterion 13).
+        # rank(C cap A) = n - ext_s is read off the grid of C's table, whose
+        # cells are in the lexicographic order of all_anticodes.
         entries, down, duals = census.entries, census.down, _duals(census)
         for entry, d, k in zip(entries, down, duals):
             if matrices.free_rank(entry.mat) != entry.subtype[0]:
@@ -510,8 +537,9 @@ def verify_invariants(
                     return f"order not reversed: {entries[j].mat.rows} in {entry.mat.rows}"
         downs = [down[i] for i in _census_positions(census, all_anticodes)]
         for c, d in zip(codes, down):
-            for A, a in zip(all_anticodes, downs):
-                lhs = matrices.rank(matrices.restrict(c.gen, A.exponents))
+            grid = table(c).meet_subtypes
+            for A, a, ext in zip(all_anticodes, downs, grid):
+                lhs = n - ext[-1]
                 meet = (d & a).bit_length() - 1
                 rhs = n - entries[duals[meet]].subtype[0] if d & a else None
                 if lhs != rhs:

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from collections import Counter
 
@@ -136,6 +137,19 @@ def _swaps_two_digit_weights(shape_codes):
     return planted
 
 
+def _swaps_two_cells(meet_subtypes):
+    """Swaps the cells e = (0, s) and e = (s, 0) of a length-2 grid: both
+    have shape (1, 0, ..., 0, 1), so B and W keep their values."""
+
+    def planted(code, cap):
+        grid = list(meet_subtypes(code, cap))
+        i, j = code.params.s, code.params.s * (code.params.s + 1)
+        grid[i], grid[j] = grid[j], grid[i]
+        return tuple(grid)
+
+    return planted
+
+
 def _swaps_first_two_parts(subtype):
     def planted(levels, n):
         ext = subtype(levels, n)
@@ -225,6 +239,9 @@ PLANTED = {
     "clamped": (inv, "_clamped", _clamps_one_below, "invariants", TABLES),
     "shape_codes": (
         inv, "_shape_codes", _swaps_two_digit_weights, "invariants", TABLES,
+    ),
+    "meet_subtypes": (
+        inv, "_meet_subtypes", _swaps_two_cells, "invariants", RANK_IDENTITY,
     ),
     "restrict": (mx, "restrict", _drops_last_generator, "invariants", TABLES),
     "chain_bracket_counting": (
@@ -428,15 +445,17 @@ def _called_from(name: str) -> bool:
 
 
 def test_rank_identity_makes_one_kernel_and_free_rank_per_entry(monkeypatch):
-    # The dual sum of each (code, anticode) pair is read off the kernel map,
-    # so no pair sweeps or validates a matrix of its own.
+    # The dual sum of each (code, anticode) pair is read off the kernel map
+    # and its meet rank off the grid of the code's table, so no pair sweeps
+    # or validates a matrix of its own: restrict runs once per code, for
+    # the socle of its table.
     census = oracle.enumerate_submodules(ModMatrix.full(ChainRingParams(3, 2), 2))
     calls = Counter()
-    for name in ("kernel", "free_rank"):
+    for name in ("kernel", "free_rank", "restrict"):
 
-        def counted(mat, original=getattr(mx, name), name=name):
+        def counted(*args, original=getattr(mx, name), name=name):
             calls[name] += 1
-            return original(mat)
+            return original(*args)
 
         monkeypatch.setattr(mx, name, counted)
     entered = []
@@ -450,7 +469,42 @@ def test_rank_identity_makes_one_kernel_and_free_rank_per_entry(monkeypatch):
     assert all(r.passed for r in vf.verify_invariants(3, 2, 2))
     assert 0 < calls["kernel"] <= len(census)
     assert 0 < calls["free_rank"] <= len(census)
+    assert calls["restrict"] == len(census)
     assert entered and not any(entered)
+
+
+def test_tables_check_compares_every_code_with_the_census(monkeypatch):
+    # One B cell off on a later code whose table equals an earlier code's:
+    # the identities are checked once per distinct table, but every code
+    # is compared with the census.
+    census = oracle.enumerate_submodules(ModMatrix.full(ChainRingParams(3, 2), 2))
+    seen, target = set(), None
+    for entry in census.entries:
+        t = inv.build_invariant_table(Code(entry.mat))
+        values = (
+            tuple(t.binomial_moments.items()),
+            tuple(t.weight_distributions.items()),
+        )
+        if values in seen:
+            target = entry.mat
+            break
+        seen.add(values)
+    assert target is not None
+    build = inv.build_invariant_table
+
+    def one_cell_off(code, *args):
+        t = build(code, *args)
+        if code.gen == target:
+            key = next(iter(t.binomial_moments))
+            moments = {**t.binomial_moments, key: t.binomial_moments[key] + 1}
+            t = dataclasses.replace(t, binomial_moments=moments)
+        return t
+
+    monkeypatch.setattr(inv, "build_invariant_table", one_cell_off)
+    tables = {r.name: r for r in vf.verify_invariants(3, 2, 2)}[TABLES]
+    assert not tables.passed
+    assert tables.detail.startswith("(B, W) = ")
+    assert tables.detail.endswith(f"for {target.rows}")
 
 
 @pytest.mark.parametrize("p, s", [(3, 2), (2, 3), (5, 1)])
